@@ -2,15 +2,9 @@
 
 The integral operators are evaluated by composite Simpson panels laid on
 a mesh whose panel boundaries coincide with grid knots, so the jump of
-the frozen argument never falls inside a panel.  Instead of forming the
-ill-conditioned products Prop(t, t0) directly, values are accumulated
-panel by panel,
-
-    u(t_{j+1}) = Prop(t_{j+1}, t_j) u(t_j) + integral over the panel,
-
-which keeps every factor bounded in the contracting direction.  Each
-knot interval carries an even number of equal sub-steps; odd mesh points
-are filled with the half-panel Newton-Cotes rule
+the frozen argument never falls inside a panel.  Each knot interval
+carries an even number of equal sub-steps; odd mesh points are filled
+with the half-panel Newton-Cotes rule
 
     int_{x0}^{x1} p = h*(5 f0 + 8 f1 - f2)/12
 
@@ -24,6 +18,29 @@ frozen value updated.  Callers therefore pass per-point values ``gvals``
 (right-continuous) plus per-interval closing values ``g_close``; using
 the right-continuous value on both sides would degrade the scheme to
 first order.
+
+Instead of forming the ill-conditioned products Prop(t, t0) directly,
+values are carried from panel to panel.  On the two-sub-step panel that
+starts at mesh point q the even mesh values obey an affine recursion
+
+    x_{j+1} = P_j x_j + c_j,    P_j = F[q+1] F[q]  (forward),
+
+with c_j the panel's Simpson term, which depends on g only; the backward
+recursion is its mirror image, P_j = B[q] B[q+1], run from the mesh top.
+The panels are taken ``_SCAN_BLOCK`` at a time.  A block's panel terms
+are built with batched matrix products over strided views of the mesh
+arrays, its affine maps are composed by a doubling (Hillis-Steele)
+prefix scan (Blelloch 1990, "Prefix sums and their applications"), and
+the block starts from the last value of the block before.  The odd mesh
+points then follow from their panel's even start in one vector step.
+
+The composed maps are products of consecutive P_j, i.e. propagators
+Prop(t_b, t_a) of the contracting block in its contracting direction:
+the forward accumulator only sees the plus block, whose forward flow
+decays, and the backward accumulator only the minus block, whose
+backward flow decays.  So every factor the scan forms stays bounded by
+the dichotomy constant, exactly as for the panel-by-panel recursion, and
+the blocks only bound the size of the scan's temporaries.
 """
 
 from dataclasses import dataclass
@@ -35,6 +52,9 @@ from .integrate import propagator
 
 __all__ = ["QuadMesh", "build_mesh", "block_propagators", "accumulate_forward",
            "accumulate_backward"]
+
+# panels per block of the affine scan; bounds the size of its temporaries
+_SCAN_BLOCK = 128
 
 
 @dataclass
@@ -122,8 +142,9 @@ def block_propagators(block_eval, mesh, dim, micro_steps=2, constant=None):
 
     Returns arrays F, B of shape (n_sub, dim, dim) with
     F[j] = Prop(t_{j+1}, t_j) and B[j] = Prop(t_j, t_{j+1}).  For a
-    constant block the values only depend on the step size and are
-    computed once per distinct h.
+    constant block the values only depend on the step size (rounded to
+    15 decimals) and are computed once per distinct step, at its first
+    sub-step.
     """
     ts = mesh.ts
     nsub = len(ts) - 1
@@ -132,21 +153,71 @@ def block_propagators(block_eval, mesh, dim, micro_steps=2, constant=None):
     if dim == 0:
         return F, B
     if constant is not None:
-        cache = {}
-        for j in range(nsub):
-            h = ts[j + 1] - ts[j]
-            key = round(h, 15)
-            if key not in cache:
-                cache[key] = (
-                    propagator(block_eval, ts[j], ts[j + 1], n_steps=micro_steps),
-                    propagator(block_eval, ts[j + 1], ts[j], n_steps=micro_steps),
-                )
-            F[j], B[j] = cache[key]
+        _, first, inverse = np.unique(np.round(np.diff(ts), 15),
+                                      return_index=True, return_inverse=True)
+        Fs = [propagator(block_eval, ts[j], ts[j + 1], n_steps=micro_steps)
+              for j in first]
+        Bs = [propagator(block_eval, ts[j + 1], ts[j], n_steps=micro_steps)
+              for j in first]
+        np.take(Fs, inverse, axis=0, out=F)
+        np.take(Bs, inverse, axis=0, out=B)
     else:
         for j in range(nsub):
             F[j] = propagator(block_eval, ts[j], ts[j + 1], n_steps=micro_steps)
             B[j] = propagator(block_eval, ts[j + 1], ts[j], n_steps=micro_steps)
     return F, B
+
+
+def _affine_scan(A, b, x0, out):
+    """Write x_1..x_n of x_{j+1} = A_j x_j + b_j, x_0 = x0, into ``out``.
+
+    ``A`` is (n, d, d), ``b`` and ``out`` are (n, d, r).  A doubling scan
+    composes the maps in log2(n) vector steps; it overwrites A and b.
+    """
+    s = 1
+    while s < len(A):
+        # (A_j, b_j) <- (A_j, b_j) after (A_{j-s}, b_{j-s})
+        b[s:] += A[s:] @ b[:-s]
+        A[s:] = A[s:] @ A[:-s]
+        s *= 2
+    np.matmul(A, x0, out=out)
+    out += b
+
+
+def _columns(a):
+    """View of a (..., d) or (..., d, r) array as (..., d, r)."""
+    a = np.asarray(a)
+    return a[..., None] if a.ndim == 2 else a
+
+
+def _panel_blocks(mesh, gvals, g_close, reverse):
+    """Panels in scan order, ``_SCAN_BLOCK`` at a time.
+
+    Yields (slice, g0, g1, g2, h): the panel slice in scan order, g at
+    each panel's three points, and the panels' sub-steps h shaped
+    (n, 1, 1).  The scan runs up the mesh, or down it when ``reverse``.
+    Where a block holds the closing panel of a knot interval, g2 is a
+    copy with the left limit g_close put in at that panel.
+    """
+    g = _columns(gvals)
+    g0, g1, g2 = g[0:-1:2], g[1::2], g[2::2]
+    h = np.repeat([h for _start, _ns, h in mesh.blocks],
+                  [ns // 2 for _start, ns, _h in mesh.blocks])[:, None, None]
+    closing = mesh.block_ends // 2 - 1  # last panel of each knot interval
+    if reverse:
+        g0, g1, g2, h = g0[::-1], g1[::-1], g2[::-1], h[::-1]
+        closing = len(h) - 1 - closing
+    if g_close is not None:
+        g_close = _columns(g_close)
+    for lo in range(0, len(h), _SCAN_BLOCK):
+        sl = slice(lo, lo + _SCAN_BLOCK)
+        g2b = g2[sl]
+        if g_close is not None:
+            hit = (closing >= lo) & (closing < lo + _SCAN_BLOCK)
+            if hit.any():
+                g2b = g2b.copy()
+                g2b[closing[hit] - lo] = g_close[hit]
+        yield sl, g0[sl], g1[sl], g2b, h[sl]
 
 
 def accumulate_forward(F, B, gvals, mesh, init, g_close=None):
@@ -155,56 +226,49 @@ def accumulate_forward(F, B, gvals, mesh, init, g_close=None):
     ``gvals`` holds g at every mesh point with shape (M, d) or (M, d, r);
     the result matches.  ``g_close[b]`` is the left-limit integrand value
     at the closing point of interval block b (defaults to the pointwise
-    value).  Forward panel recursion; all factors stay bounded in the
-    contracting direction.
+    value).  Forward panel recursion evaluated by the blocked affine
+    scan; all factors stay bounded in the contracting direction.
     """
     M = mesh.size
     out = np.empty((M,) + np.shape(init))
     out[0] = init
     if np.shape(init)[0] == 0:
         return out
-    for bi, (start, ns, h) in enumerate(mesh.blocks):
-        end = start + ns
-        for q in range(start, end, 2):
-            E0, E1 = F[q], F[q + 1]
-            g0, g1 = gvals[q], gvals[q + 1]
-            if q + 2 == end and g_close is not None:
-                g2 = g_close[bi]
-            else:
-                g2 = gvals[q + 2]
-            # half panel [t_q, t_{q+1}]
-            psi0 = E0 @ g0
-            int_half = (h / 12.0) * (5.0 * psi0 + 8.0 * g1 - B[q + 1] @ g2)
-            out[q + 1] = E0 @ out[q] + int_half
-            # full panel [t_q, t_{q+2}] by Simpson
-            int_full = (h / 3.0) * (E1 @ psi0 + 4.0 * (E1 @ g1) + g2)
-            out[q + 2] = E1 @ (E0 @ out[q]) + int_full
+    x = _columns(out)
+    E0, E1, Bh = F[0::2], F[1::2], B[1::2]
+    starts, ends, odds = x[0:-1:2], x[2::2], x[1::2]
+    for sl, g0, g1, g2, h in _panel_blocks(mesh, gvals, g_close, reverse=False):
+        # half panel [t_q, t_{q+1}] and full panel [t_q, t_{q+2}] by Simpson
+        psi0 = E0[sl] @ g0
+        half = (h / 12.0) * (5.0 * psi0 + 8.0 * g1 - Bh[sl] @ g2)
+        full = (h / 3.0) * (E1[sl] @ psi0 + 4.0 * (E1[sl] @ g1) + g2)
+        _affine_scan(E1[sl] @ E0[sl], full, starts[sl.start], ends[sl])
+        odds[sl] = E0[sl] @ starts[sl] + half
     return out
 
 
 def accumulate_backward(F, B, gvals, mesh, init, g_close=None):
     """Values of v(t) = Prop(t, T) init - int_t^T Prop(t, s) g(s) ds.
 
-    Backward panel recursion from the mesh top; Prop(t_j, t_{j+1}) is the
-    backward sub-step propagator B[j], bounded for the expanding block.
+    Backward panel recursion from the mesh top, evaluated by the blocked
+    affine scan; Prop(t_j, t_{j+1}) is the backward sub-step propagator
+    B[j], bounded for the expanding block.
     """
     M = mesh.size
     out = np.empty((M,) + np.shape(init))
     out[M - 1] = init
     if np.shape(init)[0] == 0:
         return out
-    for bi, (start, ns, h) in enumerate(reversed(mesh.blocks)):
-        end = start + ns
-        gc = None if g_close is None else g_close[len(mesh.blocks) - 1 - bi]
-        for q in range(end - 2, start - 1, -2):
-            D0, D1 = B[q], B[q + 1]
-            g0, g1 = gvals[q], gvals[q + 1]
-            g2 = gc if (q + 2 == end and gc is not None) else gvals[q + 2]
-            # half panel [t_{q+1}, t_{q+2}] seen from t_{q+1}
-            f2 = D1 @ g2
-            int_half = (h / 12.0) * (-(F[q] @ g0) + 8.0 * g1 + 5.0 * f2)
-            out[q + 1] = D1 @ out[q + 2] - int_half
-            # full panel [t_q, t_{q+2}] by Simpson seen from t_q
-            int_full = (h / 3.0) * (g0 + 4.0 * (D0 @ g1) + D0 @ f2)
-            out[q] = D0 @ (D1 @ out[q + 2]) - int_full
+    x = _columns(out)
+    # scan order runs from the mesh top down
+    D0, D1, Fh = B[0::2][::-1], B[1::2][::-1], F[0::2][::-1]
+    starts, ends, odds = x[2::2][::-1], x[0:-1:2][::-1], x[1::2][::-1]
+    for sl, g0, g1, g2, h in _panel_blocks(mesh, gvals, g_close, reverse=True):
+        # half panel [t_{q+1}, t_{q+2}] and full panel [t_q, t_{q+2}] by
+        # Simpson, seen from t_{q+1} and t_q
+        f2 = D1[sl] @ g2
+        half = (h / 12.0) * (-(Fh[sl] @ g0) + 8.0 * g1 + 5.0 * f2)
+        full = (h / 3.0) * (g0 + 4.0 * (D0[sl] @ g1) + D0[sl] @ f2)
+        _affine_scan(D0[sl] @ D1[sl], -full, starts[sl.start], ends[sl])
+        odds[sl] = D1[sl] @ starts[sl] - half
     return out

@@ -42,7 +42,22 @@ EXIT_CONDITION = 4
 
 
 def _vector(text):
-    return np.array([float(x) for x in text.split(",")], dtype=float)
+    try:
+        return np.array([float(x) for x in text.split(",")], dtype=float)
+    except ValueError:
+        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _sweep(text):
+    """Parse --grid-of-c's lo:hi:count."""
+    try:
+        lo, hi, count = text.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        raise ConfigError(f"--grid-of-c takes lo:hi:count, got {text!r}") from None
+    if count < 1:
+        raise ConfigError(f"--grid-of-c needs a positive count, got {count}")
+    return np.linspace(lo, hi, count)
 
 
 _RUN_KEY_TYPES = {
@@ -189,11 +204,11 @@ def cmd_manifold(args):
         horizon=args.horizon,
         substeps=_resolved(args, "substeps", "substeps", 64))
     if args.grid_of_c:
-        lo, hi, count = args.grid_of_c.split(":")
+        values = _sweep(args.grid_of_c)
         dim = red.k if args.side == "stable" else red.m
         if dim != 1:
             raise InvalidParameterError("--grid-of-c needs a one-dimensional anchor")
-        cs = [np.array([c]) for c in np.linspace(float(lo), float(hi), int(count))]
+        cs = [np.array([c]) for c in values]
     elif args.c is not None:
         cs = [_vector(args.c)]
     else:
@@ -378,7 +393,13 @@ def cmd_reduce(args):
 def cmd_verify(args):
     only = None
     if args.only:
-        only = {int(x) for x in args.only.split(",")}
+        try:
+            only = {int(x) for x in args.only.split(",")}
+        except ValueError:
+            raise ConfigError(f"--only takes criterion numbers, got {args.only!r}") from None
+        unknown = sorted(only - {num for num, _name, _fn in acceptance.CRITERIA})
+        if unknown:
+            raise ConfigError(f"--only: no criterion {', '.join(map(str, unknown))}")
     results = acceptance.run_all(seed=_seed(args), only=only, echo=print)
     payload = {
         "all_passed": all(r.passed for r in results),

@@ -106,6 +106,8 @@ class ThetaGrid:
 
     def nearest_knot_index(self, t, tol=1e-9):
         """Global index of the knot equal to t within tol, else None."""
+        if not math.isfinite(t):
+            return None  # the relative tolerance would be infinite
         pos = int(np.argmin(np.abs(self.knots - t)))
         if abs(self.knots[pos] - t) <= tol * (1.0 + abs(t)):
             return pos + self.base_index
@@ -156,7 +158,8 @@ def make_uniform_grid(step, offset=0.0, window=(0.0, 10.0)):
 
 def make_explicit_grid(knots):
     """Grid from an explicit knot list; the window is [first, last)."""
-    knots = np.asarray(knots, dtype=float)
+    # a copy: the grid freezes its knots, and the caller's array stays writable
+    knots = np.array(knots, dtype=float)
     if knots.ndim != 1 or len(knots) < 2:
         raise InvalidParameterError("need at least two knots")
     gaps = np.diff(knots)

@@ -129,6 +129,13 @@ def _resolve_horizon(params, K, sigma, N, theta):
     return theta * math.ceil(T / theta - 1e-12)
 
 
+def _finite_anchor(c):
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    if not np.all(np.isfinite(c)):
+        raise InvalidParameterError(f"anchor c must be finite, got {c}")
+    return c
+
+
 def _snap_to_knot(grid, t0):
     idx = grid.nearest_knot_index(t0)
     if idx is None:
@@ -144,7 +151,7 @@ def _run_picard(red, side, t0, c, params, initial=None):
     theta = grid.gap_bound
     K, sigma = red.K, red.sigma
     alpha, eps = params.resolve(K, sigma)
-    c = np.asarray(c, dtype=float).reshape(red.k if side == "stable" else red.m)
+    c = _finite_anchor(c).reshape(red.k if side == "stable" else red.m)
     t0 = _snap_to_knot(grid, t0)
     cnorm = float(np.linalg.norm(c))
     N = params.n_bound if params.n_bound is not None else (K + eps) * cnorm
@@ -359,7 +366,7 @@ class ManifoldFn:
 
     def _key(self, t0, c):
         t0 = _snap_to_knot(self.red.spec.grid, t0)
-        c = np.atleast_1d(np.asarray(c, dtype=float))
+        c = _finite_anchor(c)
         return (t0, tuple(int(round(x * 1e12)) for x in c))
 
     def evaluate(self, t0, c):

@@ -171,6 +171,31 @@ def test_verify_subset(tmp_path):
     assert [c["number"] for c in payload["results"]["criteria"]] == [1, 5]
 
 
+@pytest.mark.parametrize("only", ["99", "1,99", "0", "abc", "1.5"])
+def test_verify_unknown_criterion_is_config_error(tmp_path, only, capsys):
+    code = run(["verify", "--only", only, "-o", str(tmp_path), "--stamp", "T"])
+    assert code == 1
+    assert "criteria passed" not in capsys.readouterr().out
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--problem", "paper-example-1", "--t0", "0", "--x0", "abc",
+     "--t-end", "1"],
+    ["backcontinue", "--problem", "paper-example-1", "--t0", "1", "--x0", "1,",
+     "--t-target", "0"],
+    ["manifold", "--problem", "diag-dichotomy", "--grid-of-c=1:2"],
+    ["manifold", "--problem", "diag-dichotomy", "--grid-of-c=a:1:3"],
+    ["manifold", "--problem", "diag-dichotomy", "--grid-of-c=0:1:2.5"],
+    ["manifold", "--problem", "diag-dichotomy", "--grid-of-c=0:1:0"],
+    ["manifold", "--problem", "diag-dichotomy", "--c", "nan"],
+])
+def test_malformed_numbers_are_config_errors(tmp_path, argv, capsys):
+    code = run(argv + ["-o", str(tmp_path), "--stamp", "T"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_integration_failure_exit_code(tmp_path):
     # double-exponential growth trips the overflow guard well before t = 8
     code = run(["simulate", "--problem", "paper-example-1", "--t0", "0",

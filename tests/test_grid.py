@@ -133,6 +133,22 @@ def test_extended_uniform_and_explicit():
         ge.extended((-1.0, 2.0))
 
 
+def test_non_finite_time_is_no_knot():
+    g = make_uniform_grid(1.0, 0.0, (0.0, 5.0))
+    for t in (math.inf, -math.inf, math.nan):
+        assert g.nearest_knot_index(t) is None
+    assert g.nearest_knot_index(3.0) == 3
+
+
+def test_explicit_grid_leaves_caller_array_writable():
+    knots = np.array([0.0, 0.3, 1.0, 1.4])
+    g = make_explicit_grid(knots)
+    assert knots.flags.writeable
+    knots[0] = -1.0
+    assert g.knots[0] == 0.0
+    assert not g.knots.flags.writeable
+
+
 def test_strictly_increasing_required():
     with pytest.raises(InvalidParameterError):
         make_explicit_grid([0.0, 0.0, 1.0])

@@ -248,6 +248,20 @@ def test_anchor_must_be_knot(red_small):
         picard_stable(red_small, 0.25, [0.5])
 
 
+@pytest.mark.parametrize("t0,c", [
+    (0.0, [math.nan]), (0.0, [math.inf]), (0.0, [-math.inf]),
+    (math.inf, [0.1]), (math.nan, [0.1]),
+])
+def test_non_finite_anchor_is_invalid_parameter(red_small, t0, c):
+    mf = ManifoldFn(red_small)
+    with pytest.raises(InvalidParameterError):
+        mf.value(t0, c)
+    with pytest.raises(InvalidParameterError):
+        mf.jacobian(t0, c)
+    with pytest.raises(InvalidParameterError):
+        picard_stable(red_small, t0, c)
+
+
 def test_outside_contraction_regime_label():
     red = diag_reduced(coupling=0.02)
     # tiny eps makes the decay-budget inequality fail while the iteration

@@ -1,0 +1,205 @@
+"""The blocked affine scan of _quadrature against the panel-by-panel loop."""
+
+import numpy as np
+import pytest
+
+from epcag_lab import _quadrature
+from epcag_lab._quadrature import (
+    accumulate_backward,
+    accumulate_forward,
+    block_propagators,
+    build_mesh,
+)
+from epcag_lab.grid import make_explicit_grid, make_uniform_grid
+from epcag_lab.integrate import propagator
+
+scipy_linalg = pytest.importorskip("scipy.linalg")
+
+
+# Reference: the panel loop the scan replaces, kept verbatim.
+
+def loop_forward(F, B, gvals, mesh, init, g_close=None):
+    """Values of u(t) = Prop(t, t0) init + int_{t0}^t Prop(t, s) g(s) ds.
+
+    ``gvals`` holds g at every mesh point with shape (M, d) or (M, d, r);
+    the result matches.  ``g_close[b]`` is the left-limit integrand value
+    at the closing point of interval block b (defaults to the pointwise
+    value).  Forward panel recursion; all factors stay bounded in the
+    contracting direction.
+    """
+    M = mesh.size
+    out = np.empty((M,) + np.shape(init))
+    out[0] = init
+    if np.shape(init)[0] == 0:
+        return out
+    for bi, (start, ns, h) in enumerate(mesh.blocks):
+        end = start + ns
+        for q in range(start, end, 2):
+            E0, E1 = F[q], F[q + 1]
+            g0, g1 = gvals[q], gvals[q + 1]
+            if q + 2 == end and g_close is not None:
+                g2 = g_close[bi]
+            else:
+                g2 = gvals[q + 2]
+            # half panel [t_q, t_{q+1}]
+            psi0 = E0 @ g0
+            int_half = (h / 12.0) * (5.0 * psi0 + 8.0 * g1 - B[q + 1] @ g2)
+            out[q + 1] = E0 @ out[q] + int_half
+            # full panel [t_q, t_{q+2}] by Simpson
+            int_full = (h / 3.0) * (E1 @ psi0 + 4.0 * (E1 @ g1) + g2)
+            out[q + 2] = E1 @ (E0 @ out[q]) + int_full
+    return out
+
+
+def loop_backward(F, B, gvals, mesh, init, g_close=None):
+    """Values of v(t) = Prop(t, T) init - int_t^T Prop(t, s) g(s) ds.
+
+    Backward panel recursion from the mesh top; Prop(t_j, t_{j+1}) is the
+    backward sub-step propagator B[j], bounded for the expanding block.
+    """
+    M = mesh.size
+    out = np.empty((M,) + np.shape(init))
+    out[M - 1] = init
+    if np.shape(init)[0] == 0:
+        return out
+    for bi, (start, ns, h) in enumerate(reversed(mesh.blocks)):
+        end = start + ns
+        gc = None if g_close is None else g_close[len(mesh.blocks) - 1 - bi]
+        for q in range(end - 2, start - 1, -2):
+            D0, D1 = B[q], B[q + 1]
+            g0, g1 = gvals[q], gvals[q + 1]
+            g2 = gc if (q + 2 == end and gc is not None) else gvals[q + 2]
+            # half panel [t_{q+1}, t_{q+2}] seen from t_{q+1}
+            f2 = D1 @ g2
+            int_half = (h / 12.0) * (-(F[q] @ g0) + 8.0 * g1 + 5.0 * f2)
+            out[q + 1] = D1 @ out[q + 2] - int_half
+            # full panel [t_q, t_{q+2}] by Simpson seen from t_q
+            int_full = (h / 3.0) * (g0 + 4.0 * (D0 @ g1) + D0 @ f2)
+            out[q] = D0 @ (D1 @ out[q + 2]) - int_full
+    return out
+
+
+def loop_block_propagators(block_eval, mesh, dim, micro_steps=2):
+    """The constant branch of block_propagators as a round(h, 15) dict cache."""
+    ts = mesh.ts
+    nsub = len(ts) - 1
+    F = np.empty((nsub, dim, dim))
+    B = np.empty((nsub, dim, dim))
+    cache = {}
+    for j in range(nsub):
+        h = ts[j + 1] - ts[j]
+        key = round(h, 15)
+        if key not in cache:
+            cache[key] = (
+                propagator(block_eval, ts[j], ts[j + 1], n_steps=micro_steps),
+                propagator(block_eval, ts[j + 1], ts[j], n_steps=micro_steps),
+            )
+        F[j], B[j] = cache[key]
+    return F, B
+
+
+def n_panels(mesh):
+    return (mesh.size - 1) // 2
+
+
+def meshes():
+    """Meshes with a partial last scan block, an exact multiple of the
+    block size, a single short block, and irregular knots with a partial
+    last interval."""
+    K = _quadrature._SCAN_BLOCK
+    unit = make_uniform_grid(1.0, window=(-1.0, 40.0))
+    irregular = make_explicit_grid(np.cumsum([0.0, 0.7, 1.1, 0.45, 1.6, 0.9, 1.3]))
+    out = {
+        "partial": build_mesh(unit, 0.0, 5.3, 64),
+        "multiple": build_mesh(unit, 0.0, 2.0 * K / 32, 64),
+        "short": build_mesh(unit, 0.0, 1.0, 16),
+        "irregular": build_mesh(irregular, 0.0, 5.0, 24),
+    }
+    assert n_panels(out["partial"]) % K and n_panels(out["partial"]) > K
+    assert n_panels(out["multiple"]) == 2 * K
+    assert n_panels(out["short"]) < K
+    return out
+
+
+MESHES = meshes()
+
+
+def props(mesh, d, sign, rng):
+    """F, B from expm of a random block whose flow contracts in ``sign``."""
+    if d == 0:
+        e = np.empty((mesh.size - 1, 0, 0))
+        return e, e.copy()
+    A = 0.3 * rng.standard_normal((d, d)) + sign * 1.5 * np.eye(d)
+    hs = np.diff(mesh.ts)
+    F = np.array([scipy_linalg.expm(A * h) for h in hs])
+    B = np.array([scipy_linalg.expm(-A * h) for h in hs])
+    return F, B
+
+
+def rel_diff(a, b):
+    scale = max(float(np.max(np.abs(b))), 1e-300) if b.size else 1.0
+    return float(np.max(np.abs(a - b))) / scale if b.size else 0.0
+
+
+CASES = [(mesh, d, r, close)
+         for mesh in MESHES
+         for d in (0, 1, 2, 4)
+         for r in (None, 3)
+         for close in (False, True)]
+
+
+@pytest.mark.parametrize("mesh_name,d,r,close", CASES)
+def test_scan_matches_panel_loop(mesh_name, d, r, close):
+    mesh = MESHES[mesh_name]
+    rng = np.random.default_rng([d, 0 if r is None else r, int(close), len(mesh.ts)])
+    tail = (d,) if r is None else (d, r)
+    gvals = rng.standard_normal((mesh.size,) + tail)
+    g_close = rng.standard_normal((len(mesh.blocks),) + tail) if close else None
+    init = rng.standard_normal(tail)
+    for sign, new, ref in ((-1.0, accumulate_forward, loop_forward),
+                           (1.0, accumulate_backward, loop_backward)):
+        F, B = props(mesh, d, sign, rng)
+        got = new(F, B, gvals, mesh, init, g_close)
+        want = ref(F, B, gvals, mesh, init, g_close)
+        assert got.shape == want.shape
+        if d:
+            assert rel_diff(got, want) <= 1e-12, (new.__name__, rel_diff(got, want))
+
+
+def test_scan_does_not_write_its_inputs():
+    mesh = MESHES["partial"]
+    rng = np.random.default_rng(5)
+    d, r = 2, 3
+    F, B = props(mesh, d, -1.0, rng)
+    gvals = rng.standard_normal((mesh.size, d, r))
+    g_close = rng.standard_normal((len(mesh.blocks), d, r))
+    init = rng.standard_normal((d, r))
+    arrays = (F, B, gvals, init, g_close)
+    saved = [a.copy() for a in arrays]
+    for a in arrays:
+        a.setflags(write=False)
+    accumulate_forward(F, B, gvals, mesh, init, g_close)
+    accumulate_backward(F, B, gvals, mesh, init, g_close)
+    for a, s in zip(arrays, saved):
+        assert np.array_equal(a, s)
+
+
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_constant_block_propagators_match_cache_loop(mesh_name, d):
+    mesh = MESHES[mesh_name]
+    A = np.random.default_rng(d).standard_normal((d, d))
+
+    def block_eval(t):
+        return A
+
+    F, B = block_propagators(block_eval, mesh, d, constant=A)
+    F_ref, B_ref = loop_block_propagators(block_eval, mesh, d)
+    assert np.array_equal(F, F_ref)
+    assert np.array_equal(B, B_ref)
+
+
+def test_block_propagators_zero_dim_shape():
+    mesh = MESHES["short"]
+    F, B = block_propagators(lambda t: np.zeros((0, 0)), mesh, 0, constant=np.zeros((0, 0)))
+    assert F.shape == B.shape == (mesh.size - 1, 0, 0)
