@@ -41,17 +41,22 @@ decays, and the backward accumulator only the minus block, whose
 backward flow decays.  So every factor the scan forms stays bounded by
 the dichotomy constant, exactly as for the panel-by-panel recursion, and
 the blocks only bound the size of the scan's temporaries.
+
+``IntegralOperator`` packages one window's mesh and propagators with the
+split operator (u forward from the lower end, v backward from the upper
+end) and its successive-approximation loop; the manifold, variational
+and bounded/periodic iterations all run on it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import ConvergenceError, InvalidParameterError
 from .integrate import propagator
 
-__all__ = ["QuadMesh", "build_mesh", "block_propagators", "accumulate_forward",
-           "accumulate_backward"]
+__all__ = ["QuadMesh", "IntegralOperator", "build_mesh", "block_propagators",
+           "accumulate_forward", "accumulate_backward"]
 
 # panels per block of the affine scan; bounds the size of its temporaries
 _SCAN_BLOCK = 128
@@ -70,7 +75,6 @@ class QuadMesh:
     ts: np.ndarray
     beta_idx: np.ndarray
     blocks: list
-    knot_idx: np.ndarray  # mesh indices that are grid knots
 
     @property
     def size(self):
@@ -83,12 +87,6 @@ class QuadMesh:
     @property
     def block_ends(self):
         return np.array([b[0] + b[1] for b in self.blocks], dtype=int)
-
-    def index_of(self, t, tol=1e-9):
-        j = int(np.argmin(np.abs(self.ts - t)))
-        if abs(self.ts[j] - t) > tol * (1.0 + abs(t)):
-            raise InvalidParameterError(f"t={t} is not a mesh point")
-        return j
 
 
 def build_mesh(grid, lo, hi, substeps=64):
@@ -104,7 +102,6 @@ def build_mesh(grid, lo, hi, substeps=64):
         raise InvalidParameterError(f"mesh start {lo} must be a grid knot")
     ts_parts = []
     blocks = []
-    knot_pos = [0]
     cur = lo
     pos = 0
     while cur < hi - 1e-12 * (1.0 + abs(hi)):
@@ -121,20 +118,16 @@ def build_mesh(grid, lo, hi, substeps=64):
         ts_parts.append(seg)
         blocks.append((pos, ns, h))
         pos += ns
-        if b == knot_end:
-            knot_pos.append(pos)
         cur = b
     if not ts_parts:
         raise InvalidParameterError("empty mesh: hi must exceed lo")
     ts = np.concatenate([[lo]] + ts_parts)
-    beta_idx = np.empty(len(ts), dtype=int)
-    for start, ns, _h in blocks:
-        beta_idx[start] = start
-        beta_idx[start + 1:start + ns + 1] = start
-    for p in knot_pos:
-        beta_idx[p] = p
-    return QuadMesh(ts=ts, beta_idx=beta_idx, blocks=blocks,
-                    knot_idx=np.array(knot_pos, dtype=int))
+    # each interval's points freeze at its start; the last point is its
+    # own beta when the mesh ends on a knot
+    beta_idx = np.repeat([start for start, _ns, _h in blocks],
+                         [ns for _start, ns, _h in blocks])
+    beta_idx = np.append(beta_idx, pos if b == knot_end else beta_idx[-1])
+    return QuadMesh(ts=ts, beta_idx=beta_idx, blocks=blocks)
 
 
 def block_propagators(block_eval, mesh, dim, micro_steps=2, constant=None):
@@ -272,3 +265,78 @@ def accumulate_backward(F, B, gvals, mesh, init, g_close=None):
         _affine_scan(D0[sl] @ D1[sl], -full, starts[sl.start], ends[sl])
         odds[sl] = D1[sl] @ starts[sl] - half
     return out
+
+
+class IntegralOperator:
+    """The split integral operator of one window [lo, hi], on its mesh.
+
+    ``u`` is accumulated forward from ``lo`` with the contracting block and
+    ``v`` backward from ``hi`` with the expanding block.  The integrand is
+    evaluated at ``points``: every mesh point, then the closing point of
+    every knot interval, where the frozen argument takes its left limit.
+    Holds the mesh and the four sub-step propagators ``Fp, Bp, Fm, Bm``.
+    """
+
+    def __init__(self, red, grid, lo, hi, substeps):
+        self.k = red.k
+        self.mesh = mesh = build_mesh(grid, lo, hi, substeps)
+        cp = red.constant_blocks
+        self.Fp, self.Bp = block_propagators(
+            red.b_plus, mesh, red.k, constant=None if cp is None else cp[0])
+        self.Fm, self.Bm = block_propagators(
+            red.b_minus, mesh, red.m, constant=None if cp is None else cp[1])
+        self._rows = np.concatenate([np.arange(mesh.size), mesh.block_ends])
+        self._beta_rows = np.concatenate([mesh.beta_idx, mesh.block_starts])
+        self.points = mesh.ts[self._rows]
+        self._args = None
+
+    def arguments(self, z):
+        """(z, z(beta)) at ``points``, from z on the mesh.
+
+        Both arrays are overwritten by the next call.  Two fresh arrays of
+        the mesh's size per sweep cost page faults on long meshes, which
+        made whole manifold and steady-state solves 3-5% slower.
+        """
+        shape = (len(self.points),) + z.shape[1:]
+        if self._args is None or self._args[0].shape != shape:
+            self._args = (np.empty(shape), np.empty(shape))
+        # the rows are in range; mode="clip" lets take write straight into out
+        np.take(z, self._rows, axis=0, out=self._args[0], mode="clip")
+        np.take(z, self._beta_rows, axis=0, out=self._args[1], mode="clip")
+        return self._args
+
+    def apply(self, g, u0, v0):
+        """The operator on integrand values ``g`` at ``points``.
+
+        ``g`` is (P, n) or (P, n, r); the first ``k`` columns feed the
+        forward accumulation from ``u0``, the rest the backward one from
+        ``v0``.  Returns the mesh values of (u, v).
+        """
+        M, k = self.mesh.size, self.k
+        gv, gc = g[:M], g[M:]
+        u = accumulate_forward(self.Fp, self.Bp, gv[:, :k], self.mesh, u0, gc[:, :k])
+        v = accumulate_backward(self.Fm, self.Bm, gv[:, k:], self.mesh, v0, gc[:, k:])
+        return np.concatenate([u, v], axis=1)
+
+    def iterate(self, integrand, z, u0, v0, tol, max_iter, rows=slice(None)):
+        """Successive approximation z <- apply(integrand(points, z, z(beta))).
+
+        Yields (z_new, d) per sweep, d the sup over the mesh ``rows`` of
+        the change's norm along the state axis; stops after the first
+        d <= tol and raises ConvergenceError after ``max_iter`` sweeps.
+        """
+        d = ratio = None
+        for _ in range(max_iter):
+            z_new = self.apply(integrand(self.points, *self.arguments(z)), u0, v0)
+            d_new = float(np.max(np.linalg.norm((z_new - z)[rows], axis=1)))
+            ratio = d_new / d if d else None
+            d = d_new
+            yield z_new, d
+            if d <= tol:
+                return
+            z = z_new
+        raise ConvergenceError(
+            f"no convergence after {max_iter} iterations "
+            f"(last sup change {d}, last ratio {ratio})",
+            last_ratio=ratio,
+        )

@@ -233,29 +233,26 @@ def c06_manifold_zero(seed=0):
     return ok, {"exact_zero_and_single_iteration": ok, "max_iterations": worst_iters}
 
 
+def _decay_runs(red):
+    """The two stable-side iterations that criteria 7 and 8 inspect."""
+    return [picard_stable(red, 0.0, [c]) for c in (0.5, -1.2)]
+
+
 def c07_manifold_decay(seed=0):
     """Every iterate obeys ||z(t)|| <= (K+eps)||c|| e^{-alpha (t-t0)}."""
     red = _diag_reduced(coupling=0.01)  # L = 0.02
     t0c = time.perf_counter()
-    worst = -np.inf
-    results = []
-    for c in (0.5, -1.2):
-        res = picard_stable(red, 0.0, [c])
-        results.append(res)
-        worst = max(worst, max(res.decay_margins))
+    results = _decay_runs(red)
     elapsed = time.perf_counter() - t0c
+    worst = max(max(res.decay_margins) for res in results)
     passed = worst <= 0.0 and elapsed < 30.0
-    c07_manifold_decay._cache = results
     return passed, {"worst_decay_margin": worst, "runtime_s": elapsed,
                     "L": red.L, "alpha": 0.5, "eps": 1.0}
 
 
 def c08_contraction_rate(seed=0):
     """Observed sup-norm ratios stay within the geometric bound + 10%."""
-    results = getattr(c07_manifold_decay, "_cache", None)
-    if results is None:
-        c07_manifold_decay(seed)
-        results = c07_manifold_decay._cache
+    results = _decay_runs(_diag_reduced(coupling=0.01))
     K, s, a, th, L = 1.0, 1.0, 0.5, 1.0, 0.02
     bound = 2.0 * K * L * (1.0 + math.exp(s * th)) / (s - a)
     ratios = [r for res in results for r in res.contraction_ratios]
@@ -404,13 +401,10 @@ CRITERIA = [
 
 
 def run_criterion(number, seed=0):
-    for num, name, fn in CRITERIA:
-        if num == number:
-            t0 = time.perf_counter()
-            passed, details = fn(seed)
-            return CriterionResult(num, name, bool(passed), details,
-                                   time.perf_counter() - t0)
-    raise ValueError(f"no criterion {number}")
+    results = run_all(seed, only={number})
+    if not results:
+        raise ValueError(f"no criterion {number}")
+    return results[0]
 
 
 def run_all(seed=0, only=None, echo=None):

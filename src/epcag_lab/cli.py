@@ -32,7 +32,7 @@ from .reduction import propagators, reduce
 from .reporting import emit_report, fmt
 from .solver import back_continue, solve_forward
 from .steady import SteadyParams, bounded_solution, periodic_solution
-from .system import get_problem, parse_system
+from .system import get_problem, parse_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -60,13 +60,6 @@ def _sweep(text):
     return np.linspace(lo, hi, count)
 
 
-_RUN_KEY_TYPES = {
-    "seed": int, "out": str,
-    "root_tol": float, "picard_tol": float, "steady_tol": float,
-    "substeps": int,
-}
-
-
 def _load_spec(args):
     """Resolve the system plus any [run]/[tolerances] config overrides.
 
@@ -79,28 +72,7 @@ def _load_spec(args):
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        text = path.read_text()
-        spec = parse_system(text)
-        from .system import _read_sections
-
-        overrides = {}
-        sections = _read_sections(text)
-        for section in ("run", "tolerances"):
-            for key, value, ln, _col in sections.get(section, []):
-                try:
-                    overrides[key] = _RUN_KEY_TYPES[key](value)
-                except KeyError:
-                    raise ConfigError(
-                        f"line {ln}: unknown {section} key {key!r}") from None
-                except ValueError:
-                    raise ConfigError(
-                        f"line {ln}: bad value for {key!r}") from None
-        if "substeps" in overrides and not 2 <= overrides["substeps"] <= 4096:
-            raise ConfigError("substeps override out of documented bounds [2, 4096]")
-        for key in ("root_tol", "picard_tol", "steady_tol"):
-            if key in overrides and not 0 < overrides[key] <= 1e-2:
-                raise ConfigError(f"{key} override out of documented bounds (0, 1e-2]")
-        args._config_overrides = overrides
+        spec, args._config_overrides = parse_config(path.read_text())
         return spec, path.stem
     raise ConfigError("supply --problem NAME or a config file path")
 
@@ -357,25 +329,9 @@ def cmd_reduce(args):
     spec, name = _load_spec(args)
     red = _reduced(spec)
     sp = propagators(red, n_pairs=args.pairs, seed=_seed(args))
-    rng = np.random.default_rng(_seed(args))
-    lo, hi = spec.grid.window
     rows = [["pair (t, s)", "block", "norm", "bound", "ok"]]
-    worst = 0.0
-    for _ in range(args.pairs):
-        s = float(rng.uniform(lo, hi))
-        t = float(min(s + rng.uniform(0.0, 3.0), hi))
-        if red.k:
-            nrm = float(np.linalg.norm(sp.uprop(t, s), 2))
-            bnd = red.K * np.exp(-red.sigma * (t - s))
-            worst = max(worst, nrm - bnd)
-            rows.append([f"({t:.3f}, {s:.3f})", "contracting", fmt(nrm), fmt(bnd),
-                         str(nrm <= bnd + 1e-7)])
-        if red.m:
-            nrm = float(np.linalg.norm(sp.vprop(s, t), 2))
-            bnd = red.K * np.exp(red.sigma * (s - t))
-            worst = max(worst, nrm - bnd)
-            rows.append([f"({s:.3f}, {t:.3f})", "expanding", fmt(nrm), fmt(bnd),
-                         str(nrm <= bnd + 1e-7)])
+    rows += [[f"({a:.3f}, {b:.3f})", block, fmt(nrm), fmt(bnd), str(nrm <= bnd + 1e-7)]
+             for a, b, block, nrm, bnd in sp.checks]
     print(f"reduction of {name}: contracting dim {red.k}, expanding dim {red.m}")
     print(f"  ||U|| = {red.sup_u:.6g}, L = {red.L:.6g}, K = {red.K:.6g}, "
           f"sigma = {red.sigma:.6g}")
@@ -383,7 +339,7 @@ def cmd_reduce(args):
     results = {
         "k": red.k, "m": red.m, "sup_u": red.sup_u, "L": red.L,
         "K": red.K, "sigma": red.sigma, "u_trans": red.u_trans,
-        "worst_bound_violation": worst,
+        "worst_bound_violation": sp.worst_violation,
     }
     emit_report(_outdir(args), "reduce", name, results, params=vars_of(args),
                 seed=_seed(args), stamp=args.stamp)

@@ -48,7 +48,10 @@ class ThetaGrid:
     pattern: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        self.knots.setflags(write=False)
+        # a frozen copy, so the caller's array stays writable
+        knots = np.array(self.knots, dtype=float)
+        knots.setflags(write=False)
+        object.__setattr__(self, "knots", knots)
         d = np.diff(self.knots)
         if len(self.knots) < 2 or not np.all(d > 0):
             raise InvalidParameterError("grid knots must be strictly increasing")
@@ -158,8 +161,7 @@ def make_uniform_grid(step, offset=0.0, window=(0.0, 10.0)):
 
 def make_explicit_grid(knots):
     """Grid from an explicit knot list; the window is [first, last)."""
-    # a copy: the grid freezes its knots, and the caller's array stays writable
-    knots = np.array(knots, dtype=float)
+    knots = np.asarray(knots, dtype=float)
     if knots.ndim != 1 or len(knots) < 2:
         raise InvalidParameterError("need at least two knots")
     gaps = np.diff(knots)

@@ -13,6 +13,11 @@ sup-norm contraction ratios), and the derivative of F in c is obtained
 from the variational integral system with coefficients frozen along the
 converged trajectory.  Every evaluation anchors t0 at a grid knot so the
 frozen argument never refers to times before the mesh.
+
+Both the fixed point and the variational system are iterated by
+``_quadrature.IntegralOperator`` on the horizon window; this module only
+chooses the window and the integrand and derives the certificates from
+the sweeps the operator yields.
 """
 
 import math
@@ -21,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import accumulate_backward, accumulate_forward, block_propagators, build_mesh
-from .errors import ConditionError, ConvergenceError, EpcagError, InvalidParameterError
+from ._quadrature import IntegralOperator
+from .errors import ConditionError, EpcagError, InvalidParameterError
 from .linear import check_smallness
 from .solver import solve_forward
+from .system import state_vector
 
 __all__ = [
     "ManifoldParams",
@@ -90,29 +96,22 @@ class PicardResult:
     smallness: object
 
 
-class _Workspace:
-    """Mesh and per-sub-step block propagators for one anchor/horizon."""
-
-    def __init__(self, red, side, t0, horizon, substeps):
-        grid = red.spec.grid
-        if side == "stable":
-            lo, hi = t0, t0 + horizon
-        else:
-            j = grid.interval_index(t0 - horizon)
-            lo, hi = grid.knot(j), t0
-        win = grid.window
-        if lo < win[0] or hi > win[1]:
-            raise InvalidParameterError(
-                f"horizon mesh [{lo:g}, {hi:g}] leaves the working window "
-                f"{win}; enlarge the window or shrink the horizon"
-            )
-        self.mesh = build_mesh(grid, lo, hi, substeps)
-        cp = red.constant_blocks
-        self.Fp, self.Bp = block_propagators(
-            red.b_plus, self.mesh, red.k, constant=None if cp is None else cp[0])
-        self.Fm, self.Bm = block_propagators(
-            red.b_minus, self.mesh, red.m, constant=None if cp is None else cp[1])
-        self.anchor = 0 if side == "stable" else self.mesh.size - 1
+def _operator(red, side, t0, horizon, substeps):
+    """Integral operator on [t0, t0+horizon] (stable side) or on the knot
+    window ending at t0 that covers the horizon (unstable side)."""
+    grid = red.spec.grid
+    if side == "stable":
+        lo, hi = t0, t0 + horizon
+    else:
+        j = grid.interval_index(t0 - horizon)
+        lo, hi = grid.knot(j), t0
+    win = grid.window
+    if lo < win[0] or hi > win[1]:
+        raise InvalidParameterError(
+            f"horizon mesh [{lo:g}, {hi:g}] leaves the working window "
+            f"{win}; enlarge the window or shrink the horizon"
+        )
+    return IntegralOperator(red, grid, lo, hi, substeps)
 
 
 def _resolve_horizon(params, K, sigma, N, theta):
@@ -129,13 +128,6 @@ def _resolve_horizon(params, K, sigma, N, theta):
     return theta * math.ceil(T / theta - 1e-12)
 
 
-def _finite_anchor(c):
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if not np.all(np.isfinite(c)):
-        raise InvalidParameterError(f"anchor c must be finite, got {c}")
-    return c
-
-
 def _snap_to_knot(grid, t0):
     idx = grid.nearest_knot_index(t0)
     if idx is None:
@@ -146,24 +138,27 @@ def _snap_to_knot(grid, t0):
     return grid.knot(idx)
 
 
+def _anchor(red, side, c):
+    return state_vector(c, red.k if side == "stable" else red.m, "anchor c")
+
+
 def _run_picard(red, side, t0, c, params, initial=None):
     grid = red.spec.grid
     theta = grid.gap_bound
     K, sigma = red.K, red.sigma
     alpha, eps = params.resolve(K, sigma)
-    c = _finite_anchor(c).reshape(red.k if side == "stable" else red.m)
+    c = _anchor(red, side, c)
     t0 = _snap_to_knot(grid, t0)
     cnorm = float(np.linalg.norm(c))
     N = params.n_bound if params.n_bound is not None else (K + eps) * cnorm
     horizon = _resolve_horizon(params, K, sigma, N, theta)
-    ws = _Workspace(red, side, t0, horizon, params.substeps)
-    mesh = ws.mesh
-    ts, bidx = mesh.ts, mesh.beta_idx
+    op = _operator(red, side, t0, horizon, params.substeps)
+    ts = op.mesh.ts
     k, m = red.k, red.m
     n = k + m
 
     c2_tol = params.c2_tol if params.c2_tol is not None else params.tol
-    zero = np.zeros((mesh.size, n))
+    zero = np.zeros((len(ts), n))
     g_origin = red.g(ts, zero, zero)
     worst0 = float(np.max(np.abs(g_origin))) if n else 0.0
     if worst0 > c2_tol:
@@ -177,17 +172,6 @@ def _run_picard(red, side, t0, c, params, initial=None):
 
     u_init = c if side == "stable" else np.zeros(k)
     v_init = np.zeros(m) if side == "stable" else c
-    zero_gp = np.zeros((mesh.size, k))
-    zero_gm = np.zeros((mesh.size, m))
-    starts, ends = mesh.block_starts, mesh.block_ends
-
-    def apply_operator(z):
-        gv = red.g(ts, z, z[bidx])
-        gc = red.g(ts[ends], z[ends], z[starts])
-        u = accumulate_forward(ws.Fp, ws.Bp, gv[:, :k], mesh, u_init, gc[:, :k])
-        v = accumulate_backward(ws.Fm, ws.Bm, gv[:, k:], mesh, v_init, gc[:, k:])
-        return np.concatenate([u, v], axis=1)
-
     decay_bound = (K + eps) * cnorm * np.exp(-alpha * np.abs(ts - t0))
 
     def decay_margin(z):
@@ -196,45 +180,27 @@ def _run_picard(red, side, t0, c, params, initial=None):
     if initial is None:
         # g(t,0,0) = 0, so the first approximation from the zero function
         # is the homogeneous flow of the anchor value
-        u = accumulate_forward(ws.Fp, ws.Bp, zero_gp, mesh, u_init)
-        v = accumulate_backward(ws.Fm, ws.Bm, zero_gm, mesh, v_init)
-        z = np.concatenate([u, v], axis=1)
+        z = op.apply(np.zeros((len(op.points), n)), u_init, v_init)
     else:
         z = np.asarray(initial, dtype=float)
-        if z.shape != (mesh.size, n):
+        if z.shape != (len(ts), n):
             raise InvalidParameterError(
-                f"initial iterate must have shape {(mesh.size, n)}"
+                f"initial iterate must have shape {(len(ts), n)}"
             )
 
     decay_margins = [decay_margin(z)]
     sup_changes = []
     ratios = []
-    converged = False
-    iterations = 0
-    for _ in range(params.max_iter):
-        z_new = apply_operator(z)
-        iterations += 1
-        d = float(np.max(np.linalg.norm(z_new - z, axis=1))) if n else 0.0
+    for z, d in op.iterate(red.g, z, u_init, v_init, params.tol, params.max_iter):
         if sup_changes and sup_changes[-1] > 0:
             ratios.append(d / sup_changes[-1])
         sup_changes.append(d)
-        decay_margins.append(decay_margin(z_new))
-        z = z_new
-        if d <= params.tol:
-            converged = True
-            break
-    if not converged:
-        last = ratios[-1] if ratios else None
-        raise ConvergenceError(
-            f"no convergence after {params.max_iter} iterations "
-            f"(last sup change {sup_changes[-1]:.3g}, last ratio {last})",
-            last_ratio=last,
-        )
+        decay_margins.append(decay_margin(z))
 
-    f_value = z[ws.anchor, k:] if side == "stable" else z[ws.anchor, :k]
+    f_value = z[0, k:] if side == "stable" else z[-1, :k]
     return PicardResult(
         side=side, t0=t0, c=c, ts=ts, zs=z, f_value=f_value.copy(),
-        iterations=iterations, converged=converged, sup_changes=sup_changes,
+        iterations=len(sup_changes), converged=True, sup_changes=sup_changes,
         contraction_ratios=ratios,
         observed_contraction=max(ratios) if ratios else None,
         decay_margins=decay_margins,
@@ -295,27 +261,18 @@ def jacobian_F(manifold, t0, c, tol=None, max_iter=120):
     """
     red = manifold.red
     res = manifold.evaluate(t0, c)
-    ws = manifold._workspace_for(res)
-    mesh = ws.mesh
-    ts, bidx = mesh.ts, mesh.beta_idx
     k, m = red.k, red.m
     n = k + m
     ncols = k if manifold.side == "stable" else m
     if ncols == 0 or n == 0:
         return np.zeros((m if manifold.side == "stable" else k, ncols))
     tol = tol if tol is not None else manifold.params.tol
+    op = _operator(red, manifold.side, res.t0, res.horizon, manifold.params.substeps)
 
-    # coefficients along the trajectory, plus left-limit versions at the
-    # closing point of every knot interval (the frozen argument is
-    # two-valued at knots)
-    starts, ends = mesh.block_starts, mesh.block_ends
-    M = mesh.size
-    ts_all = np.concatenate([ts, ts[ends]])
-    z_all = np.concatenate([res.zs, res.zs[ends]])
-    zb_all = np.concatenate([res.zs[bidx], res.zs[starts]])
-    Dz_all, Dw_all = _fd_coefficients(red, ts_all, z_all, zb_all)
-    Dz, Dw = Dz_all[:M], Dw_all[:M]
-    Dz_close, Dw_close = Dz_all[M:], Dw_all[M:]
+    # coefficients at the operator's integrand points: along the
+    # trajectory, plus left-limit versions at the closing point of every
+    # knot interval (the frozen argument is two-valued at knots)
+    Dz, Dw = _fd_coefficients(red, op.points, *op.arguments(res.zs))
 
     if manifold.side == "stable":
         u_init = np.eye(k)
@@ -324,26 +281,13 @@ def jacobian_F(manifold, t0, c, tol=None, max_iter=120):
         u_init = np.zeros((k, m))
         v_init = np.eye(m)
 
-    W = np.concatenate([
-        accumulate_forward(ws.Fp, ws.Bp, np.zeros((mesh.size, k, ncols)), mesh, u_init),
-        accumulate_backward(ws.Fm, ws.Bm, np.zeros((mesh.size, m, ncols)), mesh, v_init),
-    ], axis=1)
-    for _ in range(max_iter):
-        Gv = np.matmul(Dz, W) + np.matmul(Dw, W[bidx])
-        Gc = np.matmul(Dz_close, W[ends]) + np.matmul(Dw_close, W[starts])
-        W_new = np.concatenate([
-            accumulate_forward(ws.Fp, ws.Bp, Gv[:, :k, :], mesh, u_init, Gc[:, :k, :]),
-            accumulate_backward(ws.Fm, ws.Bm, Gv[:, k:, :], mesh, v_init, Gc[:, k:, :]),
-        ], axis=1)
-        d = float(np.max(np.abs(W_new - W)))
-        W = W_new
-        if d <= tol:
-            break
-    else:
-        raise ConvergenceError("variational iteration did not converge")
+    W = op.apply(np.zeros((len(op.points), n, ncols)), u_init, v_init)
+    for W, _d in op.iterate(lambda _t, W, Wb: Dz @ W + Dw @ Wb, W, u_init, v_init,
+                            tol, max_iter):
+        pass
     if manifold.side == "stable":
-        return W[ws.anchor, k:, :].copy()
-    return W[ws.anchor, :k, :].copy()
+        return W[0, k:, :].copy()
+    return W[-1, :k, :].copy()
 
 
 class ManifoldFn:
@@ -366,7 +310,7 @@ class ManifoldFn:
 
     def _key(self, t0, c):
         t0 = _snap_to_knot(self.red.spec.grid, t0)
-        c = _finite_anchor(c)
+        c = _anchor(self.red, self.side, c)
         return (t0, tuple(int(round(x * 1e12)) for x in c))
 
     def evaluate(self, t0, c):
@@ -393,10 +337,6 @@ class ManifoldFn:
         with self._lock:
             self._jac_memo.setdefault(key, J)
         return J
-
-    def _workspace_for(self, res):
-        return _Workspace(self.red, self.side, res.t0, res.horizon,
-                          self.params.substeps)
 
 
 @dataclass
@@ -466,7 +406,7 @@ def off_manifold_diagnose(red, t0, z0, T, params=None, manifold=None,
             "cone-trapping condition K(K^2+1)(1+e^(alpha theta))L < sigma fails; "
             "the growth estimates do not apply"
         )
-    z0 = np.asarray(z0, dtype=float).reshape(red.n)
+    z0 = state_vector(z0, red.n, "z0")
     u0, v0 = z0[: red.k], z0[red.k:]
     manifold = manifold or ManifoldFn(red, "stable", params)
     t0 = _snap_to_knot(red.spec.grid, t0)

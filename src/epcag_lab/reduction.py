@@ -105,12 +105,20 @@ class ReducedSystem:
 
 @dataclass(frozen=True)
 class SplitPropagators:
-    """Normed fundamental matrices of the two diagonal blocks."""
+    """Normed fundamental matrices of the two diagonal blocks.
+
+    ``checks`` lists the sampled decay checks as (t, s, block, norm,
+    bound) for the block's propagator at (t, s); ``worst_violation`` is
+    the largest norm - bound, floored at 0.  Without verification they
+    are empty and None.
+    """
 
     uprop: object  # callable (t, s) -> (k, k)
     vprop: object  # callable (t, s) -> (m, m)
     K: float
     sigma: float
+    checks: tuple = ()
+    worst_violation: float | None = None
 
 
 def _orthonormal_basis(cols):
@@ -237,23 +245,27 @@ def propagators(red, verify=True, n_pairs=40, max_span=3.0, seed=0, tol=1e-7,
     """
     uprop = lambda t, s: propagator(red.b_plus, s, t, steps_per_unit=steps_per_unit)
     vprop = lambda t, s: propagator(red.b_minus, s, t, steps_per_unit=steps_per_unit)
+    checks = []
+    worst = None
     if verify:
         lo, hi = red.spec.grid.window
         rng = np.random.default_rng(seed)
-        worst = 0.0
         for _ in range(n_pairs):
             s = rng.uniform(lo, hi)
             dt = rng.uniform(0.0, max_span)
             t = min(s + dt, hi)
             if red.k:
-                bound = red.K * np.exp(-red.sigma * (t - s))
-                worst = max(worst, np.linalg.norm(uprop(t, s), 2) - bound)
+                checks.append((t, s, "contracting", np.linalg.norm(uprop(t, s), 2),
+                               red.K * np.exp(-red.sigma * (t - s))))
             if red.m:
-                bound = red.K * np.exp(red.sigma * (s - t))  # decaying: s <= t reversed
-                worst = max(worst, np.linalg.norm(vprop(s, t), 2) - bound)
+                # decaying: s <= t reversed
+                checks.append((s, t, "expanding", np.linalg.norm(vprop(s, t), 2),
+                               red.K * np.exp(red.sigma * (s - t))))
+        worst = max([0.0] + [norm - bound for *_, norm, bound in checks])
         if worst > tol:
             warnings.warn(
                 f"sampled block propagator norms exceed the declared dichotomy "
                 f"bounds by {worst:.3g}", RuntimeWarning, stacklevel=2,
             )
-    return SplitPropagators(uprop=uprop, vprop=vprop, K=red.K, sigma=red.sigma)
+    return SplitPropagators(uprop=uprop, vprop=vprop, K=red.K, sigma=red.sigma,
+                            checks=tuple(checks), worst_violation=worst)

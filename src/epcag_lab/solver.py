@@ -22,6 +22,7 @@ from .errors import (
 )
 from .integrate import rk4_final, rk4_segment
 from .linear import check_backward_uniqueness
+from .system import state_vector
 
 __all__ = [
     "SolutionPath",
@@ -169,7 +170,7 @@ def solve_forward(spec, t0, y0, t_end, substeps=64, w0=None, guard=1e12):
         raise OutOfWindowError(f"[{t0}, {t_end}] not inside window [{lo}, {hi}]")
     if t_end < t0:
         raise InvalidParameterError("t_end must be >= t0; use back_continue for t_end < t0")
-    y0 = np.asarray(y0, dtype=float).reshape(spec.n)
+    y0 = state_vector(y0, spec.n, "y0")
 
     knot_idx = grid.nearest_knot_index(t0, _KNOT_TOL)
     if knot_idx is not None:
@@ -181,7 +182,7 @@ def solve_forward(spec, t0, y0, t_end, substeps=64, w0=None, guard=1e12):
             "(or start from a grid knot)"
         )
     else:
-        w = np.asarray(w0, dtype=float).reshape(spec.n)
+        w = state_vector(w0, spec.n, "w0")
 
     if t_end == t0:
         d = _frozen_rhs(spec, w)(t0, y0)
@@ -193,7 +194,6 @@ def solve_forward(spec, t0, y0, t_end, substeps=64, w0=None, guard=1e12):
 
     ts_parts, ys_parts, ds_parts, w_parts, i_parts = [], [], [], [], []
     cur_t, cur_y = t0, y0
-    seg_stats = []
     while cur_t < t_end:
         i = grid.interval_index(cur_t)
         a, b = grid.knot(i), grid.knot(i + 1)
@@ -208,10 +208,6 @@ def solve_forward(spec, t0, y0, t_end, substeps=64, w0=None, guard=1e12):
         ds_parts.append(ds)
         w_parts.append(np.broadcast_to(w, ys.shape).copy())
         i_parts.append(np.full(len(ts), i))
-        seg_stats.append({
-            "interval": i, "steps": ns, "h": (seg_end - cur_t) / ns,
-            "max_norm": float(np.max(np.linalg.norm(ys, axis=1))),
-        })
         cur_t, cur_y = seg_end, ys[-1]
         if seg_end == b and seg_end < t_end:
             w = cur_y.copy()  # frozen argument updates at the knot
@@ -222,8 +218,7 @@ def solve_forward(spec, t0, y0, t_end, substeps=64, w0=None, guard=1e12):
         derivs=np.concatenate(ds_parts),
         frozen=np.concatenate(w_parts),
         intervals=np.concatenate(i_parts),
-        diagnostics={"segments": len(seg_stats), "substeps": substeps,
-                     "per_interval": seg_stats},
+        diagnostics={"segments": len(ts_parts), "substeps": substeps},
     )
 
 
@@ -248,7 +243,7 @@ def shooting_map(spec, i, x0, substeps=64):
     a, b = spec.grid.knot(i), spec.grid.knot(i + 1)
     if a < lo or b > hi:
         raise OutOfWindowError(f"interval [{a}, {b}] not inside window")
-    x0 = np.asarray(x0, dtype=float).reshape(spec.n)
+    x0 = state_vector(x0, spec.n, "x0")
     rhs = _frozen_rhs(spec, x0)
     return rk4_final(rhs, a, x0, b, max(2, substeps), guard=1e12)
 
@@ -387,7 +382,7 @@ def back_continue_interval(spec, i, t_target, x_target, substeps=64,
         raise InvalidParameterError(
             f"t_target={t_target} not in (theta_{i}, theta_{i + 1}] = ({a}, {b}]"
         )
-    x_target = np.asarray(x_target, dtype=float).reshape(spec.n)
+    x_target = state_vector(x_target, spec.n, "x_target")
     R = max(10.0, 10.0 * float(np.linalg.norm(x_target)))
     axes = [np.linspace(-R, R, n_starts)] * spec.n
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -436,7 +431,7 @@ def back_continue(spec, t0, x0, t_target, substeps=64, root_tol=1e-9,
     lo, hi = grid.window
     if not (lo <= t_target and t0 <= hi):
         raise OutOfWindowError("continuation range leaves the working window")
-    x0 = np.asarray(x0, dtype=float).reshape(spec.n)
+    x0 = state_vector(x0, spec.n, "x0")
 
     bw = check_backward_uniqueness(spec.mu, spec.lip, grid.gap_bound)
     flags = []

@@ -11,6 +11,8 @@ contraction condition 2*K*L/sigma < 1; the limit obeys
 the working window is enlarged by the horizon on each side and the
 recursions start from zero at the enlarged edges, so every point of the
 original window has at least a full horizon of quadrature support.
+The iteration runs on ``_quadrature.IntegralOperator`` over the enlarged
+window, with its sup-norm stop rule restricted to the original window.
 
 When the coefficients share a period omega and the grid repeats with
 period omega_bar, a rational ratio omega/omega_bar = k/m makes every
@@ -24,8 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._quadrature import accumulate_backward, accumulate_forward, block_propagators, build_mesh
-from .errors import ConditionError, ConvergenceError, InvalidParameterError
+from ._quadrature import IntegralOperator
+from .errors import ConditionError, InvalidParameterError
 
 __all__ = [
     "SteadyParams",
@@ -134,54 +136,29 @@ def bounded_solution(red, window=None, params=None, probe=True, seed=0,
     left = grid.knot(grid.interval_index(lo - horizon))
     right_idx = grid.interval_index(hi + horizon)
     right = grid.knot(right_idx + 1)
-    mesh = build_mesh(grid, left, right, params.substeps)
-    cp = red.constant_blocks
-    Fp, Bp = block_propagators(red.b_plus, mesh, red.k,
-                               constant=None if cp is None else cp[0])
-    Fm, Bm = block_propagators(red.b_minus, mesh, red.m,
-                               constant=None if cp is None else cp[1])
-    ts, bidx = mesh.ts, mesh.beta_idx
-    k = red.k
+    op = IntegralOperator(red, grid, left, right, params.substeps)
+    ts = op.mesh.ts
     u0 = np.zeros(red.k)
     v0 = np.zeros(red.m)
-
     inside = (ts >= lo - 1e-12) & (ts <= hi + 1e-12)
-    starts, ends = mesh.block_starts, mesh.block_ends
 
-    def apply_operator(z):
-        gv = red.g(ts, z, z[bidx])
-        gc = red.g(ts[ends], z[ends], z[starts])
-        u = accumulate_forward(Fp, Bp, gv[:, :k], mesh, u0, gc[:, :k])
-        v = accumulate_backward(Fm, Bm, gv[:, k:], mesh, v0, gc[:, k:])
-        return np.concatenate([u, v], axis=1)
+    def sweeps(z_start):
+        return op.iterate(red.g, z_start, u0, v0, params.tol, params.max_iter,
+                          rows=inside)
 
-    def iterate(z_start):
-        z = z_start
-        diffs = []
-        stored = [] if store_iterates else None
-        for _ in range(params.max_iter):
-            z_new = apply_operator(z)
-            d = float(np.max(np.linalg.norm((z_new - z)[inside], axis=1)))
-            diffs.append(d)
-            if stored is not None:
-                stored.append(z_new.copy())
-            z = z_new
-            if d <= params.tol:
-                return z, diffs, stored
-        raise ConvergenceError(
-            f"bounded-solution iteration: no convergence after "
-            f"{params.max_iter} iterations (last change {diffs[-1]:.3g})",
-            last_ratio=(diffs[-1] / diffs[-2] if len(diffs) > 1 and diffs[-2] > 0
-                        else None),
-        )
-
-    z, diffs, stored = iterate(np.zeros((mesh.size, red.n)))
+    diffs = []
+    stored = [] if store_iterates else None
+    for z, d in sweeps(np.zeros((len(ts), red.n))):
+        diffs.append(d)
+        if stored is not None:
+            stored.append(z)
 
     probe_residual = None
     if probe:
         rng = np.random.default_rng(seed)
         scale = max(H / sigma, params.tol)
-        z_probe, _, _ = iterate(rng.uniform(-scale, scale, size=(mesh.size, red.n)))
+        for z_probe, _d in sweeps(rng.uniform(-scale, scale, size=(len(ts), red.n))):
+            pass
         probe_residual = float(np.max(np.linalg.norm((z_probe - z)[inside], axis=1)))
 
     from .linear import check_backward_uniqueness

@@ -27,6 +27,7 @@ from .grid import ThetaGrid, make_explicit_grid, make_periodic_grid, make_unifor
 __all__ = [
     "SystemSpec",
     "parse_system",
+    "parse_config",
     "eval_f",
     "estimate_lipschitz",
     "estimate_mu",
@@ -48,7 +49,6 @@ class SystemSpec:
     h0: float | None = None
     period: float | None = None
     name: str = "custom"
-    domain_box: tuple[float, float] | None = None  # per-coordinate |y|,|w| bound
     mu_estimated: bool = False
     lip_estimated: bool = False
     # When set, a_constant must equal A(t) for every t: the solver then uses
@@ -85,6 +85,21 @@ def eval_f(spec, t, y, w):
     return spec.eval_f(t, y, w)
 
 
+def state_vector(x, n, name):
+    """``x`` as a float vector of exactly n finite entries.
+
+    Any array shape holding n elements is accepted; a wrong size or a
+    non-finite entry raises InvalidParameterError.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size != n:
+        raise InvalidParameterError(f"{name} needs {n} entries, got {x.size}")
+    x = x.reshape(n)
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameterError(f"{name} must be finite, got {x}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
@@ -92,12 +107,19 @@ def eval_f(spec, t, y, w):
 _SECTION_RE = re.compile(r"^\[([a-zA-Z0-9_-]+)\]\s*$")
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)$")
 
+# run settings; [run] and [tolerances] each take any of them
+_RUN_KEY_TYPES = {
+    "seed": int, "out": str,
+    "root_tol": float, "picard_tol": float, "steady_tol": float,
+    "substeps": int,
+}
+
 _KNOWN_KEYS = {
     "system": {"problem", "n"},  # plus A.. / f.. entries, validated separately
     "grid": {"kind", "step", "offset", "window", "knots", "pattern", "period"},
     "constants": {"mu", "lip", "h0", "period"},
-    "run": {"seed", "out"},
-    "tolerances": {"root_tol", "picard_tol", "steady_tol", "substeps"},
+    "run": set(_RUN_KEY_TYPES),
+    "tolerances": set(_RUN_KEY_TYPES),
 }
 
 _ENTRY_RE = re.compile(r"^(A|f)(\d+)(\d*)$")
@@ -198,16 +220,45 @@ def _build_f_eval(trees, n):
     return f
 
 
-def parse_system(config_text):
-    """Build a SystemSpec from structured config text.
+def _run_overrides(sections):
+    """Typed [run]/[tolerances] values within their documented bounds."""
+    overrides = {}
+    for section in ("run", "tolerances"):
+        for key, value, ln, _col in sections.get(section, []):
+            try:
+                overrides[key] = _RUN_KEY_TYPES[key](value)
+            except KeyError:
+                raise ConfigError(f"line {ln}: unknown {section} key {key!r}") from None
+            except ValueError:
+                raise ConfigError(f"line {ln}: bad value for {key!r}") from None
+    if "substeps" in overrides and not 2 <= overrides["substeps"] <= 4096:
+        raise ConfigError("substeps override out of documented bounds [2, 4096]")
+    for key in ("root_tol", "picard_tol", "steady_tol"):
+        if key in overrides and not 0 < overrides[key] <= 1e-2:
+            raise ConfigError(f"{key} override out of documented bounds (0, 1e-2]")
+    return overrides
+
+
+def parse_config(config_text):
+    """(SystemSpec, run overrides) from structured config text.
 
     Sections: [system] with n and entries A<r><c>, f<k> (expressions over
     t, y1..yn, w1..wn); [grid]; [constants] with mu, lip (numeric or the
-    word ``estimate``), optional h0 and period.  Unknown keys are
-    rejected.  A ``problem = <registry name>`` shortcut replaces the
-    inline definition.
+    word ``estimate``), optional h0 and period; [run] and [tolerances]
+    with seed, out, root_tol, picard_tol, steady_tol and substeps, which
+    come back typed in the overrides dict.  Unknown keys are rejected.  A
+    ``problem = <registry name>`` shortcut replaces the inline definition.
     """
     sections = _read_sections(config_text)
+    return _system_from_sections(sections), _run_overrides(sections)
+
+
+def parse_system(config_text):
+    """Build a SystemSpec from structured config text (see parse_config)."""
+    return parse_config(config_text)[0]
+
+
+def _system_from_sections(sections):
     unknown = set(sections) - set(_KNOWN_KEYS)
     if unknown:
         raise ConfigError(f"unknown section(s): {sorted(unknown)}")
@@ -386,8 +437,7 @@ def _example1(window=(0.0, 10.0)):
         return -(w ** 2)
     return SystemSpec(
         n=1, A=lambda t: A, f=f, grid=make_uniform_grid(1.0, 0.0, window),
-        mu=2.0, lip=5.0, h0=0.0, name="paper-example-1",
-        domain_box=2.5, a_constant=A,
+        mu=2.0, lip=5.0, h0=0.0, name="paper-example-1", a_constant=A,
     )
 
 

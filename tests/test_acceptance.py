@@ -13,3 +13,8 @@ def test_criterion(number, name):
     res = run_criterion(number, seed=0)
     print(res.line())
     assert res.passed, f"criterion {number} ({name}) failed: {res.details}"
+
+
+def test_run_criterion_rejects_unknown_number():
+    with pytest.raises(ValueError):
+        run_criterion(99)

@@ -196,6 +196,26 @@ def test_malformed_numbers_are_config_errors(tmp_path, argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--problem", "paper-example-1", "--t0", "0", "--x0", "1,2",
+     "--t-end", "1"],
+    ["simulate", "--problem", "paper-example-1", "--t0", "0", "--x0", "nan",
+     "--t-end", "1"],
+    ["simulate", "--problem", "paper-example-1", "--t0", "0.5", "--x0", "1",
+     "--w0", "1,2", "--t-end", "1"],
+    ["backcontinue", "--problem", "paper-example-1", "--t0", "1", "--x0", "0,1",
+     "--t-target", "0"],
+    ["backcontinue", "--problem", "paper-example-1", "--t0", "1", "--x0", "inf",
+     "--t-target", "0"],
+    ["manifold", "--problem", "diag-dichotomy", "--c", "1,2"],
+])
+def test_bad_state_vector_is_invalid_parameter(tmp_path, argv, capsys):
+    code = run(argv + ["-o", str(tmp_path), "--stamp", "T"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
 def test_integration_failure_exit_code(tmp_path):
     # double-exponential growth trips the overflow guard well before t = 8
     code = run(["simulate", "--problem", "paper-example-1", "--t0", "0",

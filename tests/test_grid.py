@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epcag_lab.errors import InvalidParameterError, OutOfWindowError
-from epcag_lab.grid import make_explicit_grid, make_periodic_grid, make_uniform_grid
+from epcag_lab.grid import ThetaGrid, make_explicit_grid, make_periodic_grid, make_uniform_grid
 
 
 def test_uniform_step1_is_integer_grid():
@@ -143,6 +143,16 @@ def test_non_finite_time_is_no_knot():
 def test_explicit_grid_leaves_caller_array_writable():
     knots = np.array([0.0, 0.3, 1.0, 1.4])
     g = make_explicit_grid(knots)
+    assert knots.flags.writeable
+    knots[0] = -1.0
+    assert g.knots[0] == 0.0
+    assert not g.knots.flags.writeable
+
+
+def test_direct_grid_leaves_caller_array_writable():
+    knots = np.array([0.0, 0.5, 1.0, 1.5])
+    g = ThetaGrid(kind="explicit", window=(0.0, 1.5), gap_bound=0.5, periodic=None,
+                  knots=knots)
     assert knots.flags.writeable
     knots[0] = -1.0
     assert g.knots[0] == 0.0

@@ -113,10 +113,9 @@ def test_linear_coupling_dense_algebra_oracle():
     params = ManifoldParams(tol=1e-12, substeps=16, horizon=8.0)
     res = picard_stable(red, 0.0, [0.5], params)
 
-    from epcag_lab._quadrature import accumulate_backward, accumulate_forward
-    from epcag_lab.manifold import _Workspace
+    from epcag_lab._quadrature import IntegralOperator, accumulate_backward, accumulate_forward
 
-    ws = _Workspace(red, "stable", 0.0, 8.0, 16)
+    ws = IntegralOperator(red, red.spec.grid, 0.0, 8.0, 16)
     mesh = ws.mesh
     starts, ends = mesh.block_starts, mesh.block_ends
 

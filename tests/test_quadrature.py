@@ -1,17 +1,25 @@
-"""The blocked affine scan of _quadrature against the panel-by-panel loop."""
+"""The blocked affine scan of _quadrature against the panel-by-panel loop,
+and the integral operator built on it."""
 
 import numpy as np
 import pytest
 
 from epcag_lab import _quadrature
 from epcag_lab._quadrature import (
+    IntegralOperator,
     accumulate_backward,
     accumulate_forward,
     block_propagators,
     build_mesh,
 )
+from epcag_lab.errors import ConvergenceError
 from epcag_lab.grid import make_explicit_grid, make_uniform_grid
 from epcag_lab.integrate import propagator
+from epcag_lab.linear import dichotomy_for_constant_A
+from epcag_lab.manifold import ManifoldFn, ManifoldParams, jacobian_F, picard_stable
+from epcag_lab.reduction import reduce
+from epcag_lab.steady import SteadyParams, bounded_solution
+from epcag_lab.system import get_problem
 
 scipy_linalg = pytest.importorskip("scipy.linalg")
 
@@ -203,3 +211,58 @@ def test_block_propagators_zero_dim_shape():
     mesh = MESHES["short"]
     F, B = block_propagators(lambda t: np.zeros((0, 0)), mesh, 0, constant=np.zeros((0, 0)))
     assert F.shape == B.shape == (mesh.size - 1, 0, 0)
+
+
+def reduced(name, **kw):
+    spec = get_problem(name, **kw)
+    return reduce(spec, dichotomy_for_constant_A(spec.a_constant))
+
+
+@pytest.mark.parametrize("name,kw,lo,hi", [
+    ("diag-dichotomy", dict(coupling=0.3), 0.0, 6.5),
+    ("diag-dichotomy", dict(coupling=0.3, coupling_arg="state"), -4.0, 3.0),
+    ("forced-scalar", dict(feedback=0.2), 1.0, 4.0),
+])
+@pytest.mark.parametrize("r", [None, 2])
+def test_integral_operator_matches_two_call_operator(name, kw, lo, hi, r):
+    red = reduced(name, **kw)
+    op = IntegralOperator(red, red.spec.grid, lo, hi, 16)
+    mesh, k = op.mesh, red.k
+    rng = np.random.default_rng(len(mesh.ts))
+    tail = (red.n,) if r is None else (red.n, r)
+    z = rng.standard_normal((mesh.size,) + tail)
+    u0 = rng.standard_normal((k,) + tail[1:])
+    v0 = rng.standard_normal((red.m,) + tail[1:])
+    if r is None:
+        def g(t, z, zb):
+            return red.g(t, z, zb)
+    else:
+        D = rng.standard_normal((red.n, red.n))
+
+        def g(t, z, zb):
+            return D @ z + np.sin(t)[:, None, None] * zb
+    # by hand: g on the mesh, then again at the closing points with the
+    # left-limit frozen value, then the two accumulations
+    starts, ends = mesh.block_starts, mesh.block_ends
+    gv = g(mesh.ts, z, z[mesh.beta_idx])
+    gc = g(mesh.ts[ends], z[ends], z[starts])
+    want = np.concatenate([
+        accumulate_forward(op.Fp, op.Bp, gv[:, :k], mesh, u0, gc[:, :k]),
+        accumulate_backward(op.Fm, op.Bm, gv[:, k:], mesh, v0, gc[:, k:]),
+    ], axis=1)
+    got = op.apply(g(op.points, *op.arguments(z)), u0, v0)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: picard_stable(reduced("diag-dichotomy", coupling=0.02), 0.0, [0.5],
+                          ManifoldParams(max_iter=2)),
+    lambda: bounded_solution(reduced("forced-scalar", feedback=0.1), window=(0.0, 3.0),
+                             params=SteadyParams(max_iter=2)),
+    lambda: jacobian_F(ManifoldFn(reduced("diag-dichotomy", coupling=0.02)), 0.0, [0.5],
+                       max_iter=2),
+], ids=["picard", "steady", "variational"])
+def test_iteration_budget_exhausted_raises_convergence_error(solve):
+    with pytest.raises(ConvergenceError) as info:
+        solve()
+    assert 0.0 < info.value.last_ratio < 1.0

@@ -365,3 +365,27 @@ def test_polish_root_at_most_two_phi_calls_per_step(monkeypatch, n):
         calls.clear()
         solver._polish_root(phi, x_target, x, np.inf, steps=steps)
         assert 1 <= len(calls) <= 2 * steps
+
+
+_BAD_STATES = [[1.0, 2.0], [], [[1.0], [2.0]], [math.nan], [math.inf]]
+
+
+@pytest.mark.parametrize("x", _BAD_STATES)
+@pytest.mark.parametrize("call", [
+    lambda spec, x: solve_forward(spec, 0.0, x, 1.0),
+    lambda spec, x: solve_forward(spec, 0.5, [0.1], 1.0, w0=x),
+    lambda spec, x: shooting_map(spec, 0, x),
+    lambda spec, x: back_continue_interval(spec, 0, 1.0, x),
+    lambda spec, x: back_continue(spec, 1.0, x, 0.0),
+], ids=["solve_forward-y0", "solve_forward-w0", "shooting_map", "back_continue_interval",
+        "back_continue"])
+def test_state_vector_of_wrong_size_or_non_finite_is_invalid_parameter(call, x):
+    with pytest.raises(InvalidParameterError):
+        call(get_problem("paper-example-1"), x)
+
+
+def test_state_vector_takes_any_shape_of_n_elements():
+    spec = _linear_spec(np.diag([-1.0, 0.5]))
+    flat = solve_forward(spec, 0.0, [0.3, -0.2], 2.0)
+    column = solve_forward(spec, 0.0, np.array([[0.3], [-0.2]]), 2.0)
+    assert np.array_equal(flat.ys, column.ys)
