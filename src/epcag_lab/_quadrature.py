@@ -135,9 +135,9 @@ def block_propagators(block_eval, mesh, dim, micro_steps=2, constant=None):
 
     Returns arrays F, B of shape (n_sub, dim, dim) with
     F[j] = Prop(t_{j+1}, t_j) and B[j] = Prop(t_j, t_{j+1}).  For a
-    constant block the values only depend on the step size (rounded to
-    15 decimals) and are computed once per distinct step, at its first
-    sub-step.
+    constant block (``constant`` is its matrix) the values only depend on
+    the step size (rounded to 15 decimals) and are computed once per
+    distinct step, at its first sub-step, by the propagator's closed form.
     """
     ts = mesh.ts
     nsub = len(ts) - 1
@@ -148,10 +148,10 @@ def block_propagators(block_eval, mesh, dim, micro_steps=2, constant=None):
     if constant is not None:
         _, first, inverse = np.unique(np.round(np.diff(ts), 15),
                                       return_index=True, return_inverse=True)
-        Fs = [propagator(block_eval, ts[j], ts[j + 1], n_steps=micro_steps)
-              for j in first]
-        Bs = [propagator(block_eval, ts[j + 1], ts[j], n_steps=micro_steps)
-              for j in first]
+        Fs = [propagator(block_eval, ts[j], ts[j + 1], n_steps=micro_steps,
+                         constant=constant) for j in first]
+        Bs = [propagator(block_eval, ts[j + 1], ts[j], n_steps=micro_steps,
+                         constant=constant) for j in first]
         np.take(Fs, inverse, axis=0, out=F)
         np.take(Bs, inverse, axis=0, out=B)
     else:

@@ -65,13 +65,21 @@ def rk4_final(rhs, t0, y0, t1, n_steps, guard=None):
     return y
 
 
-def propagator(A_eval, s, t, n_steps=None, steps_per_unit=256):
+def propagator(A_eval, s, t, n_steps=None, steps_per_unit=256, constant=None):
     """Fundamental matrix of Y' = A(tau) Y from s to t with Y(s) = I.
 
     The matrix ODE is integrated as a whole (all columns at once), which
-    is arithmetically identical to column-wise integration.
+    is arithmetically identical to column-wise integration.  ``n_steps``
+    defaults to max(4, ceil(|t - s| * steps_per_unit)).
+
+    ``constant``, when given, is the matrix A that ``A_eval`` returns at
+    every time; ``A_eval`` is then never called.  One classical RK4 step
+    of Y' = A Y is Y -> R(hA) Y with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
+    so the n_steps steps are R(hA)^n_steps: R is built once by Horner's
+    rule and raised to the power by repeated squaring, which equals the
+    step loop to rounding.
     """
-    A0 = np.asarray(A_eval(s), dtype=float)
+    A0 = np.asarray(A_eval(s) if constant is None else constant, dtype=float)
     n = A0.shape[0]
     if n == 0:
         return np.zeros((0, 0))
@@ -79,6 +87,13 @@ def propagator(A_eval, s, t, n_steps=None, steps_per_unit=256):
         return np.eye(n)
     if n_steps is None:
         n_steps = max(4, int(np.ceil(abs(t - s) * steps_per_unit)))
+    if constant is not None:
+        Z = ((t - s) / n_steps) * A0
+        eye = np.eye(n)
+        R = eye + Z / 4.0
+        for k in (3.0, 2.0, 1.0):
+            R = eye + (Z / k) @ R
+        return np.linalg.matrix_power(R, n_steps)
 
     def rhs(tau, Y):
         return np.asarray(A_eval(tau), dtype=float) @ Y

@@ -96,7 +96,8 @@ class SmallnessReport:
 
 
 def fundamental_matrix(spec, t, s, steps_per_unit=256):
-    """X(t, s) with X(s, s) = I, by integrating the matrix equation.
+    """X(t, s) with X(s, s) = I, by integrating the matrix equation
+    (in closed form when ``spec.a_constant`` is set).
 
     Default resolution keeps the per-unit-time error near 1e-10 for the
     registry-scale coefficient norms.
@@ -107,7 +108,8 @@ def fundamental_matrix(spec, t, s, steps_per_unit=256):
         from .errors import OutOfWindowError
 
         raise OutOfWindowError(f"t={t}, s={s} outside window [{lo}, {hi}]")
-    return propagator(spec.eval_A, s, t, steps_per_unit=steps_per_unit)
+    return propagator(spec.eval_A, s, t, steps_per_unit=steps_per_unit,
+                      constant=spec.a_constant)
 
 
 def flow_bounds(spec):

@@ -243,8 +243,11 @@ def propagators(red, verify=True, n_pairs=40, max_span=3.0, seed=0, tol=1e-7,
     ||vprop(t,s)|| <= K exp( sigma (t-s)) for t <= s are verified on
     sampled pairs; violations warn rather than fail.
     """
-    uprop = lambda t, s: propagator(red.b_plus, s, t, steps_per_unit=steps_per_unit)
-    vprop = lambda t, s: propagator(red.b_minus, s, t, steps_per_unit=steps_per_unit)
+    cp, cm = red.constant_blocks or (None, None)
+    uprop = lambda t, s: propagator(red.b_plus, s, t, steps_per_unit=steps_per_unit,
+                                    constant=cp)
+    vprop = lambda t, s: propagator(red.b_minus, s, t, steps_per_unit=steps_per_unit,
+                                    constant=cm)
     checks = []
     worst = None
     if verify:

@@ -102,11 +102,18 @@ def bounded_solution(red, window=None, params=None, probe=True, seed=0,
 
     Requires h0 on the originating system (the bound of ||f(t,0,0)||)
     and the contraction condition 2*K*L/sigma < 1; refuses with margins
-    otherwise.  ``probe`` reruns the iteration from a random bounded
+    otherwise.  ``window`` (default: the grid's) must be finite with
+    lo < hi.  ``probe`` reruns the iteration from a random bounded
     initial function and records the coincidence residual.
     """
     params = params or SteadyParams()
     spec = red.spec
+    if window is None:
+        window = spec.grid.window
+    lo, hi = float(window[0]), float(window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise InvalidParameterError(f"bounded solve needs a finite window lo < hi, "
+                                    f"got [{lo:g}, {hi:g}]")
     if spec.h0 is None:
         raise ConditionError("bounded solve requires the system's h0 bound")
     K, sigma, L = red.K, red.sigma, red.L
@@ -119,9 +126,6 @@ def bounded_solution(red, window=None, params=None, probe=True, seed=0,
     H = red.sup_u * spec.h0
     _check_h_bound(red, max(spec.h0, 1e-300))
 
-    if window is None:
-        window = spec.grid.window
-    lo, hi = float(window[0]), float(window[1])
     if params.horizon is not None:
         horizon = params.horizon
     else:

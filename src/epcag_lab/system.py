@@ -52,7 +52,9 @@ class SystemSpec:
     mu_estimated: bool = False
     lip_estimated: bool = False
     # When set, a_constant must equal A(t) for every t: the solver then uses
-    # it in place of A (one transpose per run, no eval_A call per stage).
+    # it in place of A (one transpose per run, no eval_A call per stage), and
+    # fundamental_matrix and the block propagators rely on the same invariant
+    # to take the closed-form constant-A propagator without calling A at all.
     a_constant: np.ndarray | None = None
 
     def eval_A(self, t):
@@ -122,7 +124,9 @@ _KNOWN_KEYS = {
     "tolerances": set(_RUN_KEY_TYPES),
 }
 
-_ENTRY_RE = re.compile(r"^(A|f)(\d+)(\d*)$")
+_ENTRY_RE = re.compile(r"^(A|f)([0-9_]+)$")
+# A<row><col> with one digit each, or A<row>_<col> for any size
+_MATRIX_INDEX_RE = re.compile(r"^(?:([0-9])([0-9])|([0-9]+)_([0-9]+))$")
 
 
 def _read_sections(text):
@@ -242,7 +246,8 @@ def _run_overrides(sections):
 def parse_config(config_text):
     """(SystemSpec, run overrides) from structured config text.
 
-    Sections: [system] with n and entries A<r><c>, f<k> (expressions over
+    Sections: [system] with n and entries A<r><c> (or A<r>_<c>, needed
+    from n = 10 on), f<k> (expressions over
     t, y1..yn, w1..wn); [grid]; [constants] with mu, lip (numeric or the
     word ``estimate``), optional h0 and period; [run] and [tolerances]
     with seed, out, root_tol, picard_tol, steady_tol and substeps, which
@@ -292,15 +297,18 @@ def _system_from_sections(sections):
         if not m:
             raise ConfigError(f"line {ln}: unknown system key {key!r}")
         if m.group(1) == "A":
-            digits = m.group(2) + m.group(3)
-            if len(digits) != 2:
-                raise ConfigError(f"line {ln}: matrix entries are A<row><col>, got {key!r}")
-            r, c = int(digits[0]) - 1, int(digits[1]) - 1
+            idx = _MATRIX_INDEX_RE.match(m.group(2))
+            if not idx:
+                raise ConfigError(f"line {ln}: matrix entries are A<row><col> or "
+                                  f"A<row>_<col>, got {key!r}")
+            r, c = (int(d) - 1 for d in idx.groups() if d is not None)
             if not (0 <= r < n and 0 <= c < n):
                 raise ConfigError(f"line {ln}: entry {key!r} out of range for n={n}")
+            if (r, c) in a_entries:
+                raise ConfigError(f"line {ln}: matrix entry ({r + 1}, {c + 1}) given twice")
             a_entries[(r, c)] = parse_expression(value, ["t"], ln, col)
         else:
-            if m.group(3):
+            if not m.group(2).isdigit():
                 raise ConfigError(f"line {ln}: nonlinearity entries are f<k>, got {key!r}")
             k = int(m.group(2)) - 1
             if not 0 <= k < n:

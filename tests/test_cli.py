@@ -95,6 +95,14 @@ def test_bounded_report_fields(tmp_path):
         assert key in payload["results"]
 
 
+def test_bounded_reversed_window_is_invalid_parameter(tmp_path, capsys):
+    code = run(["bounded", "--problem", "forced-scalar", "--window", "5", "0",
+                "-o", str(tmp_path), "--stamp", "T"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
 def test_periodic_report_fields(tmp_path):
     code = run(["periodic", "--problem", "periodic-coupled", "-o", str(tmp_path),
                 "--stamp", "T"])

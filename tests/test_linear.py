@@ -1,13 +1,18 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epcag_lab._quadrature import IntegralOperator
 from epcag_lab.errors import InvalidParameterError, NoDichotomyError
 from epcag_lab.grid import make_uniform_grid
+from epcag_lab.integrate import propagator
 from epcag_lab.linear import (
+    DichotomyData,
     check_backward_uniqueness,
     check_smallness,
     dichotomy_for_constant_A,
@@ -15,6 +20,7 @@ from epcag_lab.linear import (
     fundamental_matrix,
     verify_flow_bounds,
 )
+from epcag_lab.reduction import propagators, reduce
 from epcag_lab.system import SystemSpec, get_problem
 
 
@@ -204,3 +210,121 @@ def test_smallness_invalid_alpha():
         check_smallness(K=1.0, sigma=1.0, alpha=1.5, theta=1.0, L=0.0, eps=1.0)
     with pytest.raises(InvalidParameterError):
         check_smallness(K=0.5, sigma=1.0, alpha=0.5, theta=1.0, L=0.0, eps=1.0)
+
+
+# ---------------------------------------------------------------------------
+# closed-form constant-A propagator against the RK4 step loop
+# ---------------------------------------------------------------------------
+
+def _never_called(t):
+    raise AssertionError("A_eval called although the matrix is constant")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n_steps", [1, 2, 7, 513])
+@pytest.mark.parametrize("s,t", [(0.25, 1.5), (1.5, 0.25)])
+def test_constant_propagator_matches_step_loop(n, n_steps, s, t):
+    A = np.random.default_rng(n).standard_normal((n, n))
+    closed = propagator(_never_called, s, t, n_steps=n_steps, constant=A)
+    loop = propagator(lambda tau: A, s, t, n_steps=n_steps)
+    assert np.linalg.norm(closed - loop) <= 1e-12 * np.linalg.norm(loop)
+
+
+def test_constant_propagator_default_steps_match_step_loop():
+    A = np.random.default_rng(9).standard_normal((3, 3))
+    closed = propagator(_never_called, -0.4, 1.3, steps_per_unit=64, constant=A)
+    loop = propagator(lambda tau: A, -0.4, 1.3, steps_per_unit=64)
+    assert np.linalg.norm(closed - loop) <= 1e-12 * np.linalg.norm(loop)
+
+
+def test_constant_propagator_identity_and_empty():
+    A = np.array([[0.0, 1.0], [-2.0, -3.0]])
+    assert np.array_equal(propagator(_never_called, 0.7, 0.7, constant=A), np.eye(2))
+    empty = propagator(_never_called, 0.0, 1.0, constant=np.zeros((0, 0)))
+    assert empty.shape == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# work counts: a constant system never evaluates A, a time-varying one does
+# ---------------------------------------------------------------------------
+
+class _Counted:
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+def _counted_blocks(red):
+    return replace(red, b_plus=_Counted(red.b_plus), b_minus=_Counted(red.b_minus))
+
+
+def _non_normal_spec():
+    # upper triangular, stable leading block coupled into the unstable one:
+    # the dichotomy projection is oblique, so reduce takes the eigenbasis route
+    A = np.array([[-1.0, 3.0, 0.5, 1.0],
+                  [0.0, -2.0, 2.0, 0.0],
+                  [0.0, 0.0, 1.0, 4.0],
+                  [0.0, 0.0, 0.0, 1.5]])
+    return _const_spec(A, window=(-6.0, 6.0))
+
+
+def test_fundamental_matrix_never_calls_constant_A():
+    spec = get_problem("diag-dichotomy")
+    counted = replace(spec, A=_Counted(spec.A))
+    X = fundamental_matrix(counted, 1.5, -0.5)
+    assert counted.A.calls == 0
+    assert np.allclose(X, np.diag([math.exp(-2.0), math.exp(2.0)]), rtol=1e-9)
+
+
+@pytest.mark.parametrize("make_spec", [lambda: get_problem("diag-dichotomy"),
+                                       _non_normal_spec])
+def test_block_propagators_never_call_constant_blocks(make_spec):
+    spec = make_spec()
+    counted_spec = replace(spec, A=_Counted(spec.A))
+    red = _counted_blocks(reduce(counted_spec, dichotomy_for_constant_A(spec.a_constant)))
+    assert red.constant_blocks is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        split = propagators(red, verify=True)
+    assert split.checks
+    IntegralOperator(red, spec.grid, -2.0, 3.0, 16)
+    assert (counted_spec.A.calls, red.b_plus.calls, red.b_minus.calls) == (0, 0, 0)
+
+
+def test_non_normal_spec_takes_eigenbasis_route():
+    spec = _non_normal_spec()
+    red = reduce(spec, dichotomy_for_constant_A(spec.a_constant))
+    assert not np.allclose(red.u_trans, np.eye(4))
+
+
+def _time_varying_spec():
+    def A(t):
+        return np.diag([-1.0 - 0.1 * np.sin(t), 1.0 + 0.1 * np.cos(t)])
+
+    return SystemSpec(
+        n=2, A=A, f=lambda t, y, w: np.zeros_like(y),
+        grid=make_uniform_grid(1.0, 0.0, (-6.0, 6.0)), mu=1.1, lip=0.0,
+    )
+
+
+@pytest.mark.parametrize("t,s", [(1.3, 0.0), (-0.5, 2.0), (0.0, 0.01)])
+def test_time_varying_propagator_steps_through_A(t, s):
+    spec = _time_varying_spec()
+    counted = replace(spec, A=_Counted(spec.A))
+    fundamental_matrix(counted, t, s, steps_per_unit=64)
+    n_steps = max(4, math.ceil(abs(t - s) * 64))
+    assert counted.A.calls == 4 * n_steps + 1
+
+
+def test_time_varying_blocks_step_through_block_eval():
+    spec = _time_varying_spec()
+    dich = DichotomyData(P=np.diag([1.0, 0.0]), K=1.0, sigma=0.9, k_plus=1)
+    red = _counted_blocks(reduce(spec, dich))
+    assert red.constant_blocks is None
+    op = IntegralOperator(red, spec.grid, 0.0, 2.0, 8)
+    per_block = 2 * (op.mesh.size - 1) * (4 * 2 + 1)  # F and B, two micro-steps
+    assert (red.b_plus.calls, red.b_minus.calls) == (per_block, per_block)

@@ -87,7 +87,7 @@ def loop_backward(F, B, gvals, mesh, init, g_close=None):
     return out
 
 
-def loop_block_propagators(block_eval, mesh, dim, micro_steps=2):
+def loop_block_propagators(block_eval, mesh, dim, constant, micro_steps=2):
     """The constant branch of block_propagators as a round(h, 15) dict cache."""
     ts = mesh.ts
     nsub = len(ts) - 1
@@ -99,8 +99,10 @@ def loop_block_propagators(block_eval, mesh, dim, micro_steps=2):
         key = round(h, 15)
         if key not in cache:
             cache[key] = (
-                propagator(block_eval, ts[j], ts[j + 1], n_steps=micro_steps),
-                propagator(block_eval, ts[j + 1], ts[j], n_steps=micro_steps),
+                propagator(block_eval, ts[j], ts[j + 1], n_steps=micro_steps,
+                           constant=constant),
+                propagator(block_eval, ts[j + 1], ts[j], n_steps=micro_steps,
+                           constant=constant),
             )
         F[j], B[j] = cache[key]
     return F, B
@@ -202,7 +204,7 @@ def test_constant_block_propagators_match_cache_loop(mesh_name, d):
         return A
 
     F, B = block_propagators(block_eval, mesh, d, constant=A)
-    F_ref, B_ref = loop_block_propagators(block_eval, mesh, d)
+    F_ref, B_ref = loop_block_propagators(block_eval, mesh, d, A)
     assert np.array_equal(F, F_ref)
     assert np.array_equal(B, B_ref)
 

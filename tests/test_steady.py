@@ -55,6 +55,14 @@ def test_uniqueness_probe():
     assert res.probe_residual <= 10.0 * 1e-9
 
 
+@pytest.mark.parametrize("window", [(5.0, 0.0), (2.0, 2.0), (0.0, np.inf),
+                                    (np.nan, 1.0)])
+def test_bad_window_is_invalid_parameter(window):
+    red = reduced("forced-scalar")
+    with pytest.raises(InvalidParameterError, match="lo < hi"):
+        bounded_solution(red, window=window)
+
+
 def test_contraction_condition_refused_with_margin():
     red = reduced("forced-scalar", feedback=0.6)  # 2KL/sigma = 2.4
     with pytest.raises(ConditionError) as exc:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from epcag_lab.errors import ConfigError, ExpressionError, InvalidParameterError
+from epcag_lab.linear import fundamental_matrix
 from epcag_lab.system import (
     estimate_lipschitz,
     estimate_mu,
@@ -65,6 +66,42 @@ def test_entry_out_of_range_and_missing():
         parse_system(EX1_CONFIG + "A13 = 1\n")
     with pytest.raises(ConfigError):
         parse_system(EX1_CONFIG.replace("f1 = -w1^2", "f2 = 0"))
+
+
+def _diagonal_config(n, entry):
+    lines = ["[system]", f"n = {n}"]
+    lines += [f"{entry(k, k)} = {-0.1 * k}" for k in range(1, n + 1)]
+    lines += [f"f{k} = 0" for k in range(1, n + 1)]
+    lines += ["[grid]", "step = 1.0", "window = -5 5",
+              "[constants]", "mu = 1.6", "lip = 0"]
+    return "\n".join(lines) + "\n"
+
+
+def test_separated_matrix_entries_for_n_16():
+    spec = parse_system(_diagonal_config(16, lambda r, c: f"A{r}_{c}"))
+    diag = -0.1 * np.arange(1, 17)
+    assert spec.n == 16
+    assert np.array_equal(spec.a_constant, np.diag(diag))
+    for t, s in [(1.5, -0.5), (-2.0, 0.7)]:
+        X = fundamental_matrix(spec, t, s)
+        assert np.allclose(X, np.diag(np.exp(diag * (t - s))), rtol=1e-9, atol=0)
+
+
+def test_separated_and_packed_entries_agree():
+    packed = parse_system(_diagonal_config(3, lambda r, c: f"A{r}{c}"))
+    separated = parse_system(_diagonal_config(3, lambda r, c: f"A{r}_{c}"))
+    assert np.array_equal(packed.a_constant, separated.a_constant)
+
+
+@pytest.mark.parametrize("key", ["A1_", "A_1", "A1__1", "A1010", "A111", "A1", "f1_"])
+def test_malformed_entry_keys_rejected(key):
+    with pytest.raises(ConfigError):
+        parse_system(EX1_CONFIG.replace("A11 = 2", f"A11 = 2\n{key} = 1"))
+
+
+def test_matrix_entry_given_twice_rejected():
+    with pytest.raises(ConfigError, match="twice"):
+        parse_system(EX1_CONFIG.replace("A11 = 2", "A11 = 2\nA1_1 = 3"))
 
 
 def test_registry_shortcut():
