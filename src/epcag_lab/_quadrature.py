@@ -130,14 +130,14 @@ def build_mesh(grid, lo, hi, substeps=64):
     return QuadMesh(ts=ts, beta_idx=beta_idx, blocks=blocks)
 
 
-def block_propagators(block_eval, mesh, dim, micro_steps=2, constant=None):
+def block_propagators(block, mesh, dim):
     """Per-sub-step forward and backward propagators of one block.
 
     Returns arrays F, B of shape (n_sub, dim, dim) with
-    F[j] = Prop(t_{j+1}, t_j) and B[j] = Prop(t_j, t_{j+1}).  For a
-    constant block (``constant`` is its matrix) the values only depend on
-    the step size (rounded to 15 decimals) and are computed once per
-    distinct step, at its first sub-step, by the propagator's closed form.
+    F[j] = Prop(t_{j+1}, t_j) and B[j] = Prop(t_j, t_{j+1}) by two RK4
+    steps of ``propagator``.  For a constant block (an array) the values
+    only depend on the step size (rounded to 15 decimals) and are computed
+    once per distinct step, at its first sub-step, in closed form.
     """
     ts = mesh.ts
     nsub = len(ts) - 1
@@ -145,19 +145,17 @@ def block_propagators(block_eval, mesh, dim, micro_steps=2, constant=None):
     B = np.empty((nsub, dim, dim))
     if dim == 0:
         return F, B
-    if constant is not None:
+    if isinstance(block, np.ndarray):
         _, first, inverse = np.unique(np.round(np.diff(ts), 15),
                                       return_index=True, return_inverse=True)
-        Fs = [propagator(block_eval, ts[j], ts[j + 1], n_steps=micro_steps,
-                         constant=constant) for j in first]
-        Bs = [propagator(block_eval, ts[j + 1], ts[j], n_steps=micro_steps,
-                         constant=constant) for j in first]
+        Fs = [propagator(block, ts[j], ts[j + 1], n_steps=2) for j in first]
+        Bs = [propagator(block, ts[j + 1], ts[j], n_steps=2) for j in first]
         np.take(Fs, inverse, axis=0, out=F)
         np.take(Bs, inverse, axis=0, out=B)
     else:
         for j in range(nsub):
-            F[j] = propagator(block_eval, ts[j], ts[j + 1], n_steps=micro_steps)
-            B[j] = propagator(block_eval, ts[j + 1], ts[j], n_steps=micro_steps)
+            F[j] = propagator(block, ts[j], ts[j + 1], n_steps=2)
+            B[j] = propagator(block, ts[j + 1], ts[j], n_steps=2)
     return F, B
 
 
@@ -280,11 +278,8 @@ class IntegralOperator:
     def __init__(self, red, grid, lo, hi, substeps):
         self.k = red.k
         self.mesh = mesh = build_mesh(grid, lo, hi, substeps)
-        cp = red.constant_blocks
-        self.Fp, self.Bp = block_propagators(
-            red.b_plus, mesh, red.k, constant=None if cp is None else cp[0])
-        self.Fm, self.Bm = block_propagators(
-            red.b_minus, mesh, red.m, constant=None if cp is None else cp[1])
+        self.Fp, self.Bp = block_propagators(red.b_plus, mesh, red.k)
+        self.Fm, self.Bm = block_propagators(red.b_minus, mesh, red.m)
         self._rows = np.concatenate([np.arange(mesh.size), mesh.block_ends])
         self._beta_rows = np.concatenate([mesh.beta_idx, mesh.block_starts])
         self.points = mesh.ts[self._rows]

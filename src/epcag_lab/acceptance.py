@@ -154,8 +154,7 @@ def c04_flow_bounds(seed=0):
     details = {}
     for name in ("paper-example-1", "diag-dichotomy", "forced-scalar"):
         spec = get_problem(name)
-        rep = verify_flow_bounds(spec, n_pairs=1000, max_span=2.0,
-                                 seed=seed + 3, tol=1e-8)
+        rep = verify_flow_bounds(spec, n_pairs=1000, seed=seed + 3)
         details[name] = rep.max_violation
         worst = max(worst, rep.max_violation)
     return worst <= 1e-8, {"max_violation": worst, **details}

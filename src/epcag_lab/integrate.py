@@ -65,29 +65,28 @@ def rk4_final(rhs, t0, y0, t1, n_steps, guard=None):
     return y
 
 
-def propagator(A_eval, s, t, n_steps=None, steps_per_unit=256, constant=None):
+def propagator(A, s, t, n_steps=None):
     """Fundamental matrix of Y' = A(tau) Y from s to t with Y(s) = I.
 
-    The matrix ODE is integrated as a whole (all columns at once), which
-    is arithmetically identical to column-wise integration.  ``n_steps``
-    defaults to max(4, ceil(|t - s| * steps_per_unit)).
-
-    ``constant``, when given, is the matrix A that ``A_eval`` returns at
-    every time; ``A_eval`` is then never called.  One classical RK4 step
-    of Y' = A Y is Y -> R(hA) Y with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
-    so the n_steps steps are R(hA)^n_steps: R is built once by Horner's
-    rule and raised to the power by repeated squaring, which equals the
-    step loop to rounding.
+    ``A`` is an (n, n) array when constant, else a callable tau -> (n, n);
+    ``n_steps`` RK4 steps default to max(4, ceil(256 |t - s|)).  A callable
+    runs the step loop on the whole matrix (arithmetically identical to
+    column-wise integration).  For an array one RK4 step of Y' = A Y is
+    Y -> R(hA) Y with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so the
+    n_steps steps are R(hA)^n_steps: R is built once by Horner's rule and
+    raised to the power by repeated squaring, which equals the step loop
+    to rounding.
     """
-    A0 = np.asarray(A_eval(s) if constant is None else constant, dtype=float)
+    constant = isinstance(A, np.ndarray)
+    A0 = np.asarray(A if constant else A(s), dtype=float)
     n = A0.shape[0]
     if n == 0:
         return np.zeros((0, 0))
     if t == s:
         return np.eye(n)
     if n_steps is None:
-        n_steps = max(4, int(np.ceil(abs(t - s) * steps_per_unit)))
-    if constant is not None:
+        n_steps = max(4, int(np.ceil(abs(t - s) * 256)))
+    if constant:
         Z = ((t - s) / n_steps) * A0
         eye = np.eye(n)
         R = eye + Z / 4.0
@@ -96,6 +95,6 @@ def propagator(A_eval, s, t, n_steps=None, steps_per_unit=256, constant=None):
         return np.linalg.matrix_power(R, n_steps)
 
     def rhs(tau, Y):
-        return np.asarray(A_eval(tau), dtype=float) @ Y
+        return np.asarray(A(tau), dtype=float) @ Y
 
     return rk4_final(rhs, s, np.eye(n), t, n_steps)

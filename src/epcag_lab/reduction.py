@@ -30,12 +30,15 @@ __all__ = ["ReducedSystem", "SplitPropagators", "reduce", "propagators"]
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """Box-diagonal form of a system with a verified dichotomy."""
+    """Box-diagonal form of a system with a verified dichotomy.
+
+    The blocks are ``propagator`` coefficients: arrays when A is constant.
+    """
 
     k: int                      # contracting dimension
     m: int                      # expanding dimension (n - k)
-    b_plus: object              # callable t -> (k, k)
-    b_minus: object             # callable t -> (m, m)
+    b_plus: object              # (k, k) array, or callable t -> (k, k)
+    b_minus: object             # (m, m) array, or callable t -> (m, m)
     g: object                   # callable (t, z, w) -> like z
     u_trans: np.ndarray         # constant transformation y = U z
     u_trans_inv: np.ndarray
@@ -44,7 +47,6 @@ class ReducedSystem:
     sigma: float
     sup_u: float
     spec: SystemSpec
-    constant_blocks: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n(self):
@@ -57,13 +59,13 @@ class ReducedSystem:
         gv = self.g(t, z, w)
         return gv[..., : self.k], gv[..., self.k:]
 
-    def reduced_spec(self, name_suffix="-reduced"):
+    def reduced_spec(self):
         """The reduced equations as a simulatable system."""
         n = self.n
-        if self.constant_blocks is not None:
+        if isinstance(self.b_plus, np.ndarray):
             Ared = np.zeros((n, n))
-            Ared[: self.k, : self.k] = self.constant_blocks[0]
-            Ared[self.k:, self.k:] = self.constant_blocks[1]
+            Ared[: self.k, : self.k] = self.b_plus
+            Ared[self.k:, self.k:] = self.b_minus
             mu = float(np.linalg.norm(Ared, 2)) if n else 0.0
             A_eval = lambda t, _m=Ared: _m
             a_const = Ared
@@ -81,24 +83,30 @@ class ReducedSystem:
             h0 = self.spec.h0
         return SystemSpec(
             n=n, A=A_eval, f=self.g, grid=self.spec.grid, mu=mu, lip=self.L,
-            h0=h0, period=self.spec.period, name=self.spec.name + name_suffix,
+            h0=h0, period=self.spec.period, name=self.spec.name + "-reduced",
             a_constant=a_const,
             mu_estimated=self.spec.mu_estimated, lip_estimated=self.spec.lip_estimated,
         )
 
-    def with_time_wrapped(self, omega, anchor=0.0):
-        """Evaluate coefficients by argument reduction mod omega."""
+    def with_time_wrapped(self, omega):
+        """Evaluate coefficients by argument reduction mod omega (constant
+        blocks stay as they are)."""
         omega = float(omega)
 
         def wrap(t):
             t = np.asarray(t, dtype=float)
-            return anchor + (t - anchor) - omega * np.floor((t - anchor) / omega)
+            return t - omega * np.floor(t / omega)
 
-        bp, bm, g = self.b_plus, self.b_minus, self.g
+        def wrapped(block):
+            if isinstance(block, np.ndarray):
+                return block
+            return lambda t: block(float(wrap(t)))
+
+        g = self.g
         return replace(
             self,
-            b_plus=(lambda t: bp(float(wrap(t)))),
-            b_minus=(lambda t: bm(float(wrap(t)))),
+            b_plus=wrapped(self.b_plus),
+            b_minus=wrapped(self.b_minus),
             g=(lambda t, z, w: g(wrap(t), z, w)),
         )
 
@@ -115,8 +123,6 @@ class SplitPropagators:
 
     uprop: object  # callable (t, s) -> (k, k)
     vprop: object  # callable (t, s) -> (m, m)
-    K: float
-    sigma: float
     checks: tuple = ()
     worst_violation: float | None = None
 
@@ -154,7 +160,7 @@ def _real_invariant_basis(vals, vecs, select):
     return np.stack(cols, axis=1)
 
 
-def reduce(spec, dich, align_tol=1e-8, samples=9):
+def reduce(spec, dich):
     """Split a system into contracting/expanding blocks.
 
     Requires a constant coefficient matrix, or one that is already
@@ -164,24 +170,24 @@ def reduce(spec, dich, align_tol=1e-8, samples=9):
     n = spec.n
     k = dich.k_plus
     m = n - k
+    tol = 1e-8  # of the projection and block-diagonal alignment checks
     aligned = np.zeros((n, n))
     aligned[:k, :k] = np.eye(k)
 
-    def _identity_route(b_plus, b_minus, const_blocks):
+    def _identity_route(b_plus, b_minus):
         return ReducedSystem(
             k=k, m=m, b_plus=b_plus, b_minus=b_minus, g=spec.eval_f,
             u_trans=np.eye(n), u_trans_inv=np.eye(n),
             L=2.0 * spec.lip, K=dich.K, sigma=dich.sigma, sup_u=1.0,
-            spec=spec, constant_blocks=const_blocks,
+            spec=spec,
         )
 
     if spec.a_constant is not None:
         A = np.asarray(spec.a_constant, dtype=float)
         off = A - aligned @ A @ aligned - (np.eye(n) - aligned) @ A @ (np.eye(n) - aligned)
-        if (np.linalg.norm(dich.P - aligned) <= align_tol
-                and np.linalg.norm(off) <= align_tol * max(1.0, np.linalg.norm(A))):
-            Bp, Bm = A[:k, :k].copy(), A[k:, k:].copy()
-            return _identity_route(lambda t: Bp, lambda t: Bm, (Bp, Bm))
+        if (np.linalg.norm(dich.P - aligned) <= tol
+                and np.linalg.norm(off) <= tol * max(1.0, np.linalg.norm(A))):
+            return _identity_route(A[:k, :k].copy(), A[k:, k:].copy())
         vals, vecs = np.linalg.eig(A)
         stable = vals.real < 0
         q1 = _orthonormal_basis(_real_invariant_basis(vals, vecs, stable))
@@ -207,23 +213,22 @@ def reduce(spec, dich, align_tol=1e-8, samples=9):
             return spec.eval_f(t, y, wv) @ _Ui.T
 
         return ReducedSystem(
-            k=k, m=m, b_plus=(lambda t, _b=Bp: _b), b_minus=(lambda t, _b=Bm: _b),
+            k=k, m=m, b_plus=Bp, b_minus=Bm,
             g=g, u_trans=U, u_trans_inv=U_inv, L=2.0 * sup_u * spec.lip,
             K=dich.K, sigma=dich.sigma, sup_u=sup_u, spec=spec,
-            constant_blocks=(Bp, Bm),
         )
 
     # time-varying: accept only already box-diagonal, dichotomy-aligned A
-    if np.linalg.norm(dich.P - aligned) > align_tol:
+    if np.linalg.norm(dich.P - aligned) > tol:
         raise UnsupportedSystemError(
             "time-varying A requires a dichotomy projection aligned to the "
             "leading coordinates"
         )
     lo, hi = spec.grid.window
-    for t in np.linspace(lo, hi, samples):
+    for t in np.linspace(lo, hi, 9):
         At = spec.eval_A(t)
         off = np.linalg.norm(At[:k, k:]) + np.linalg.norm(At[k:, :k])
-        if off > align_tol * max(1.0, np.linalg.norm(At)):
+        if off > tol * max(1.0, np.linalg.norm(At)):
             raise UnsupportedSystemError(
                 f"A({t:g}) is not box-diagonal; general time-varying "
                 "coefficient matrices are unsupported"
@@ -231,23 +236,19 @@ def reduce(spec, dich, align_tol=1e-8, samples=9):
     return _identity_route(
         lambda t: spec.eval_A(t)[:k, :k],
         lambda t: spec.eval_A(t)[k:, k:],
-        None,
     )
 
 
-def propagators(red, verify=True, n_pairs=40, max_span=3.0, seed=0, tol=1e-7,
-                steps_per_unit=256):
+def propagators(red, verify=True, n_pairs=40, seed=0):
     """Fundamental matrices of the two blocks, with sampled decay checks.
 
     ||uprop(t,s)|| <= K exp(-sigma (t-s)) for t >= s and
     ||vprop(t,s)|| <= K exp( sigma (t-s)) for t <= s are verified on
-    sampled pairs; violations warn rather than fail.
+    ``n_pairs`` sampled pairs with |t - s| <= 3; a violation beyond 1e-7
+    warns rather than fails.
     """
-    cp, cm = red.constant_blocks or (None, None)
-    uprop = lambda t, s: propagator(red.b_plus, s, t, steps_per_unit=steps_per_unit,
-                                    constant=cp)
-    vprop = lambda t, s: propagator(red.b_minus, s, t, steps_per_unit=steps_per_unit,
-                                    constant=cm)
+    uprop = lambda t, s: propagator(red.b_plus, s, t)
+    vprop = lambda t, s: propagator(red.b_minus, s, t)
     checks = []
     worst = None
     if verify:
@@ -255,7 +256,7 @@ def propagators(red, verify=True, n_pairs=40, max_span=3.0, seed=0, tol=1e-7,
         rng = np.random.default_rng(seed)
         for _ in range(n_pairs):
             s = rng.uniform(lo, hi)
-            dt = rng.uniform(0.0, max_span)
+            dt = rng.uniform(0.0, 3.0)
             t = min(s + dt, hi)
             if red.k:
                 checks.append((t, s, "contracting", np.linalg.norm(uprop(t, s), 2),
@@ -265,10 +266,10 @@ def propagators(red, verify=True, n_pairs=40, max_span=3.0, seed=0, tol=1e-7,
                 checks.append((s, t, "expanding", np.linalg.norm(vprop(s, t), 2),
                                red.K * np.exp(red.sigma * (s - t))))
         worst = max([0.0] + [norm - bound for *_, norm, bound in checks])
-        if worst > tol:
+        if worst > 1e-7:
             warnings.warn(
                 f"sampled block propagator norms exceed the declared dichotomy "
                 f"bounds by {worst:.3g}", RuntimeWarning, stacklevel=2,
             )
-    return SplitPropagators(uprop=uprop, vprop=vprop, K=red.K, sigma=red.sigma,
-                            checks=tuple(checks), worst_violation=worst)
+    return SplitPropagators(uprop=uprop, vprop=vprop, checks=tuple(checks),
+                            worst_violation=worst)

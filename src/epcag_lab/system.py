@@ -53,8 +53,8 @@ class SystemSpec:
     lip_estimated: bool = False
     # When set, a_constant must equal A(t) for every t: the solver then uses
     # it in place of A (one transpose per run, no eval_A call per stage), and
-    # fundamental_matrix and the block propagators rely on the same invariant
-    # to take the closed-form constant-A propagator without calling A at all.
+    # fundamental_matrix and reduce pass it (or its blocks) on as the array
+    # coefficient that integrate.propagator takes in closed form.
     a_constant: np.ndarray | None = None
 
     def eval_A(self, t):
@@ -148,6 +148,8 @@ def _read_sections(text):
         if not m:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = m.group(1), m.group(2).strip()
+        if any(k == key for k, *_ in sections[current]):
+            raise ConfigError(f"line {lineno}: key {key!r} given twice in [{current}]")
         value_col = raw.index("=") + 2 + (len(raw.split("=", 1)[1]) - len(raw.split("=", 1)[1].lstrip()))
         sections[current].append((key, value, lineno, value_col))
     return sections

@@ -157,6 +157,17 @@ def test_config_error_exit_code(tmp_path):
     assert code == 1
 
 
+def test_config_key_given_twice_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(CONFIG.replace("lip = 0.1", "lip = 0.1\nlip = 0.2"))
+    out = tmp_path / "out"
+    code = run(["simulate", str(cfg), "--t0", "0", "--x0", "0.2",
+                "--t-end", "2", "-o", str(out), "--stamp", "T"])
+    assert code == 1
+    assert "key 'lip' given twice in [constants]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_system_is_config_error(tmp_path):
     code = run(["simulate", "--t0", "0", "--x0", "1", "--t-end", "1",
                 "-o", str(tmp_path)])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epcag_lab._quadrature import IntegralOperator
-from epcag_lab.errors import InvalidParameterError, NoDichotomyError
+from epcag_lab.errors import InvalidParameterError, NoDichotomyError, OutOfWindowError
 from epcag_lab.grid import make_uniform_grid
 from epcag_lab.integrate import propagator
 from epcag_lab.linear import (
@@ -45,6 +45,13 @@ def test_fundamental_diag_closed_form():
 def test_fundamental_identity_at_equal_times():
     spec = _const_spec(np.array([[0.0, 1.0], [-2.0, -3.0]]))
     assert np.array_equal(fundamental_matrix(spec, 1.3, 1.3), np.eye(2))
+
+
+@pytest.mark.parametrize("t,s", [(5.5, 0.0), (0.0, -5.01), (-6.0, 6.0)])
+def test_fundamental_matrix_outside_window(t, s):
+    spec = _const_spec(np.diag([-1.0, 1.0]))  # window [-5, 5]
+    with pytest.raises(OutOfWindowError):
+        fundamental_matrix(spec, t, s)
 
 
 def test_fundamental_scalar_exponential():
@@ -97,8 +104,8 @@ def test_inverse_identity():
 
 def test_flow_bounds_tight_for_diag():
     spec = _const_spec(np.diag([-1.0, 1.0]), mu=1.0)
-    rep = verify_flow_bounds(spec, n_pairs=100, seed=0, tol=1e-8)
-    assert rep.passed
+    rep = verify_flow_bounds(spec, n_pairs=100, seed=0)
+    assert rep.passed and rep.tol == 1e-8
     assert rep.max_violation <= 1e-10  # bounds are attained, not crossed
 
 
@@ -216,31 +223,27 @@ def test_smallness_invalid_alpha():
 # closed-form constant-A propagator against the RK4 step loop
 # ---------------------------------------------------------------------------
 
-def _never_called(t):
-    raise AssertionError("A_eval called although the matrix is constant")
-
-
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("n_steps", [1, 2, 7, 513])
 @pytest.mark.parametrize("s,t", [(0.25, 1.5), (1.5, 0.25)])
 def test_constant_propagator_matches_step_loop(n, n_steps, s, t):
     A = np.random.default_rng(n).standard_normal((n, n))
-    closed = propagator(_never_called, s, t, n_steps=n_steps, constant=A)
+    closed = propagator(A, s, t, n_steps=n_steps)
     loop = propagator(lambda tau: A, s, t, n_steps=n_steps)
     assert np.linalg.norm(closed - loop) <= 1e-12 * np.linalg.norm(loop)
 
 
 def test_constant_propagator_default_steps_match_step_loop():
     A = np.random.default_rng(9).standard_normal((3, 3))
-    closed = propagator(_never_called, -0.4, 1.3, steps_per_unit=64, constant=A)
-    loop = propagator(lambda tau: A, -0.4, 1.3, steps_per_unit=64)
+    closed = propagator(A, -0.4, 1.3)
+    loop = propagator(lambda tau: A, -0.4, 1.3, n_steps=math.ceil(1.7 * 256))
     assert np.linalg.norm(closed - loop) <= 1e-12 * np.linalg.norm(loop)
 
 
 def test_constant_propagator_identity_and_empty():
     A = np.array([[0.0, 1.0], [-2.0, -3.0]])
-    assert np.array_equal(propagator(_never_called, 0.7, 0.7, constant=A), np.eye(2))
-    empty = propagator(_never_called, 0.0, 1.0, constant=np.zeros((0, 0)))
+    assert np.array_equal(propagator(A, 0.7, 0.7), np.eye(2))
+    empty = propagator(np.zeros((0, 0)), 0.0, 1.0)
     assert empty.shape == (0, 0)
 
 
@@ -285,14 +288,14 @@ def test_fundamental_matrix_never_calls_constant_A():
 def test_block_propagators_never_call_constant_blocks(make_spec):
     spec = make_spec()
     counted_spec = replace(spec, A=_Counted(spec.A))
-    red = _counted_blocks(reduce(counted_spec, dichotomy_for_constant_A(spec.a_constant)))
-    assert red.constant_blocks is not None
+    red = reduce(counted_spec, dichotomy_for_constant_A(spec.a_constant))
+    assert isinstance(red.b_plus, np.ndarray) and isinstance(red.b_minus, np.ndarray)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         split = propagators(red, verify=True)
     assert split.checks
     IntegralOperator(red, spec.grid, -2.0, 3.0, 16)
-    assert (counted_spec.A.calls, red.b_plus.calls, red.b_minus.calls) == (0, 0, 0)
+    assert counted_spec.A.calls == 0
 
 
 def test_non_normal_spec_takes_eigenbasis_route():
@@ -315,8 +318,8 @@ def _time_varying_spec():
 def test_time_varying_propagator_steps_through_A(t, s):
     spec = _time_varying_spec()
     counted = replace(spec, A=_Counted(spec.A))
-    fundamental_matrix(counted, t, s, steps_per_unit=64)
-    n_steps = max(4, math.ceil(abs(t - s) * 64))
+    fundamental_matrix(counted, t, s)
+    n_steps = max(4, math.ceil(abs(t - s) * 256))
     assert counted.A.calls == 4 * n_steps + 1
 
 
@@ -324,7 +327,6 @@ def test_time_varying_blocks_step_through_block_eval():
     spec = _time_varying_spec()
     dich = DichotomyData(P=np.diag([1.0, 0.0]), K=1.0, sigma=0.9, k_plus=1)
     red = _counted_blocks(reduce(spec, dich))
-    assert red.constant_blocks is None
     op = IntegralOperator(red, spec.grid, 0.0, 2.0, 8)
     per_block = 2 * (op.mesh.size - 1) * (4 * 2 + 1)  # F and B, two micro-steps
     assert (red.b_plus.calls, red.b_minus.calls) == (per_block, per_block)

@@ -87,7 +87,7 @@ def loop_backward(F, B, gvals, mesh, init, g_close=None):
     return out
 
 
-def loop_block_propagators(block_eval, mesh, dim, constant, micro_steps=2):
+def loop_block_propagators(block, mesh, dim, micro_steps=2):
     """The constant branch of block_propagators as a round(h, 15) dict cache."""
     ts = mesh.ts
     nsub = len(ts) - 1
@@ -99,10 +99,8 @@ def loop_block_propagators(block_eval, mesh, dim, constant, micro_steps=2):
         key = round(h, 15)
         if key not in cache:
             cache[key] = (
-                propagator(block_eval, ts[j], ts[j + 1], n_steps=micro_steps,
-                           constant=constant),
-                propagator(block_eval, ts[j + 1], ts[j], n_steps=micro_steps,
-                           constant=constant),
+                propagator(block, ts[j], ts[j + 1], n_steps=micro_steps),
+                propagator(block, ts[j + 1], ts[j], n_steps=micro_steps),
             )
         F[j], B[j] = cache[key]
     return F, B
@@ -199,19 +197,15 @@ def test_scan_does_not_write_its_inputs():
 def test_constant_block_propagators_match_cache_loop(mesh_name, d):
     mesh = MESHES[mesh_name]
     A = np.random.default_rng(d).standard_normal((d, d))
-
-    def block_eval(t):
-        return A
-
-    F, B = block_propagators(block_eval, mesh, d, constant=A)
-    F_ref, B_ref = loop_block_propagators(block_eval, mesh, d, A)
+    F, B = block_propagators(A, mesh, d)
+    F_ref, B_ref = loop_block_propagators(A, mesh, d)
     assert np.array_equal(F, F_ref)
     assert np.array_equal(B, B_ref)
 
 
 def test_block_propagators_zero_dim_shape():
     mesh = MESHES["short"]
-    F, B = block_propagators(lambda t: np.zeros((0, 0)), mesh, 0, constant=np.zeros((0, 0)))
+    F, B = block_propagators(np.zeros((0, 0)), mesh, 0)
     assert F.shape == B.shape == (mesh.size - 1, 0, 0)
 
 

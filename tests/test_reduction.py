@@ -30,8 +30,8 @@ def test_identity_route_diag():
     red = reduce(spec, dichotomy_for_constant_A(spec.a_constant))
     assert np.array_equal(red.u_trans, np.eye(2))
     assert red.k == 1 and red.m == 1
-    assert red.constant_blocks[0][0, 0] == -1.0
-    assert red.constant_blocks[1][0, 0] == 1.0
+    assert red.b_plus[0, 0] == -1.0
+    assert red.b_minus[0, 0] == 1.0
     assert red.L == pytest.approx(0.2)  # 2*l with sup||U|| = 1
     # g is the coordinate split of f
     z = np.array([0.3, -0.7])
@@ -46,7 +46,7 @@ def test_constant_eigen_route_spectra():
     spec = _spec(A)
     red = reduce(spec, dichotomy_for_constant_A(A))
     assert red.k == 2 and red.m == 1
-    Bp, Bm = red.constant_blocks
+    Bp, Bm = red.b_plus, red.b_minus
     assert sorted(np.linalg.eigvals(Bp).real) == pytest.approx([-2.0, -1.0])
     assert np.linalg.eigvals(Bm).real == pytest.approx([3.0])
     # conjugation produces exactly the box-diagonal form
@@ -71,8 +71,8 @@ def test_stable_block_ordering_for_swapped_diag():
     spec = _spec(np.diag([1.0, -1.0]))  # expanding first: needs a permutation
     red = reduce(spec, dichotomy_for_constant_A(spec.a_constant))
     assert red.k == 1 and red.m == 1
-    assert red.constant_blocks[0][0, 0] == pytest.approx(-1.0)
-    assert red.constant_blocks[1][0, 0] == pytest.approx(1.0)
+    assert red.b_plus[0, 0] == pytest.approx(-1.0)
+    assert red.b_minus[0, 0] == pytest.approx(1.0)
 
 
 def test_propagator_scalars():
@@ -93,7 +93,7 @@ def test_propagator_triangular_closed_form():
     red = reduce(spec, dichotomy_for_constant_A(A))
     sp = propagators(red, verify=False)
     U10 = sp.uprop(1.0, 0.0)
-    Bp = red.constant_blocks[0]
+    Bp = red.b_plus
     lam = np.sort(np.linalg.eigvals(Bp).real)
     assert lam == pytest.approx([-2.0, -1.0])
     # oracle: exp of the 2x2 block through its own triangularization
@@ -153,7 +153,7 @@ def test_propagator_cocycle():
     assert np.allclose(sp.uprop(t, r) @ sp.uprop(r, s), sp.uprop(t, s), atol=1e-8)
 
 
-def test_time_varying_box_diagonal_supported():
+def _time_varying_reduction():
     def A(t):
         return np.diag([-1.0 - 0.1 * np.sin(t), 1.0 + 0.1 * np.cos(t)])
 
@@ -163,9 +163,39 @@ def test_time_varying_box_diagonal_supported():
     )
     from epcag_lab.linear import DichotomyData
     dich = DichotomyData(P=np.diag([1.0, 0.0]), K=1.0, sigma=0.9, k_plus=1)
-    red = reduce(spec, dich)
-    assert red.k == 1 and red.constant_blocks is None
+    return spec, reduce(spec, dich)
+
+
+def test_time_varying_box_diagonal_supported():
+    _spec, red = _time_varying_reduction()
+    assert red.k == 1 and callable(red.b_plus) and callable(red.b_minus)
     assert red.b_plus(0.0)[0, 0] == pytest.approx(-1.0)
+
+
+def test_time_varying_reduced_spec_evaluates_A():
+    spec, red = _time_varying_reduction()
+    rspec = red.reduced_spec()
+    assert rspec.a_constant is None and rspec.name == "custom-reduced"
+    for t in (-5.5, -0.3, 0.0, 2.7, 6.0):
+        assert np.array_equal(rspec.eval_A(t), spec.eval_A(t))
+
+
+def test_time_varying_blocks_wrap_with_period():
+    _spec, red = _time_varying_reduction()
+    omega = 2.5
+    wrapped = red.with_time_wrapped(omega)
+    for t in (-4.1, -0.2, 0.0, 1.3, 3.9):
+        for block in (wrapped.b_plus, wrapped.b_minus):
+            assert block(t + omega) == pytest.approx(block(t), abs=1e-14)
+    # argument reduction: the wrapped block at t is the original at t mod omega
+    assert np.array_equal(wrapped.b_plus(3.9), red.b_plus(3.9 - omega))
+
+
+def test_constant_blocks_unchanged_by_time_wrapping():
+    spec = _spec(np.diag([-1.0, 1.0]))
+    red = reduce(spec, dichotomy_for_constant_A(spec.a_constant))
+    wrapped = red.with_time_wrapped(1.5)
+    assert wrapped.b_plus is red.b_plus and wrapped.b_minus is red.b_minus
 
 
 def test_time_varying_general_rejected():
@@ -186,4 +216,4 @@ def test_registry_paper_example_reduces_fully_unstable():
     spec = get_problem("paper-example-1")
     red = reduce(spec, dichotomy_for_constant_A(spec.a_constant))
     assert red.k == 0 and red.m == 1
-    assert red.constant_blocks[1][0, 0] == 2.0
+    assert red.b_minus[0, 0] == 2.0

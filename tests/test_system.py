@@ -104,6 +104,17 @@ def test_matrix_entry_given_twice_rejected():
         parse_system(EX1_CONFIG.replace("A11 = 2", "A11 = 2\nA1_1 = 3"))
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("f1 = -w1^2", "f1 = 0\nf1 = 1", "line 6: key 'f1' given twice in [system]"),
+    ("mu = 2.0", "mu = 1.0\nmu = 3.0", "line 15: key 'mu' given twice in [constants]"),
+    ("h0 = 0.0", "h0 = 0.0\n[system]\nn = 1", "line 18: key 'n' given twice in [system]"),
+])
+def test_key_given_twice_rejected(old, new, message):
+    with pytest.raises(ConfigError) as err:
+        parse_system(EX1_CONFIG.replace(old, new))
+    assert str(err.value) == message
+
+
 def test_registry_shortcut():
     spec = parse_system("[system]\nproblem = paper-example-1\n")
     assert spec.name == "paper-example-1"
