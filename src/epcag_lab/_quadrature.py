@@ -25,10 +25,12 @@ starts at mesh point q the even mesh values obey an affine recursion
 
     x_{j+1} = P_j x_j + c_j,    P_j = F[q+1] F[q]  (forward),
 
-with c_j the panel's Simpson term, which depends on g only; the backward
-recursion is its mirror image, P_j = B[q] B[q+1], run from the mesh top.
-The panels are taken ``_SCAN_BLOCK`` at a time.  A block's panel terms
-are built with batched matrix products over strided views of the mesh
+with c_j the panel's Simpson term, which depends on g only.  The backward
+accumulation is the same recursion run down the mesh from its top with
+the negative step -h: its panels go from t_{q+2} to t_q, P_j = B[q] B[q+1],
+and one function builds the Simpson terms of both directions.  The
+panels are taken ``_SCAN_BLOCK`` at a time.  A block's panel terms are
+built with batched matrix products over strided views of the mesh
 arrays, its affine maps are composed by a doubling (Hillis-Steele)
 prefix scan (Blelloch 1990, "Prefix sums and their applications"), and
 the block starts from the last value of the block before.  The odd mesh
@@ -181,34 +183,52 @@ def _columns(a):
     return a[..., None] if a.ndim == 2 else a
 
 
-def _panel_blocks(mesh, gvals, g_close, reverse):
-    """Panels in scan order, ``_SCAN_BLOCK`` at a time.
+def _accumulate(E0, E1, Eh, gvals, mesh, init, g_close, top):
+    """The panel recursion up the mesh, or down it from the top if ``top``.
 
-    Yields (slice, g0, g1, g2, h): the panel slice in scan order, g at
-    each panel's three points, and the panels' sub-steps h shaped
-    (n, 1, 1).  The scan runs up the mesh, or down it when ``reverse``.
-    Where a block holds the closing panel of a knot interval, g2 is a
-    copy with the left limit g_close put in at that panel.
+    In scan order panel j runs from its near point through its midpoint
+    to its far point with sub-step h (-h down the mesh): E0[j] and E1[j]
+    propagate near to mid and mid to far, Eh[j] far to mid.  Both
+    directions build the same Simpson terms; only the views of the mesh
+    arrays are reversed.  ``g_close`` goes into each closing panel's upper
+    point.
     """
-    g = _columns(gvals)
-    g0, g1, g2 = g[0:-1:2], g[1::2], g[2::2]
-    h = np.repeat([h for _start, _ns, h in mesh.blocks],
-                  [ns // 2 for _start, ns, _h in mesh.blocks])[:, None, None]
-    closing = mesh.block_ends // 2 - 1  # last panel of each knot interval
-    if reverse:
-        g0, g1, g2, h = g0[::-1], g1[::-1], g2[::-1], h[::-1]
-        closing = len(h) - 1 - closing
+    out = np.empty((mesh.size,) + np.shape(init))
+    step = -1 if top else 1
+    order = slice(None, None, step)
+    out[order][0] = init
+    if np.shape(init)[0] == 0:
+        return out
+    x, g = _columns(out), _columns(gvals)
+    # per panel in scan order: the near, middle and far mesh values, g at
+    # the panel's lower, middle and upper points, the signed sub-step and
+    # the knot interval the panel closes (-1 if none)
+    near, far = (x[0:-1:2][order], x[2::2][order])[order]
+    mids = x[1::2][order]
+    g_lo, g_mid, g_up = g[0:-1:2][order], g[1::2][order], g[2::2][order]
+    h = step * np.repeat([h for _start, _ns, h in mesh.blocks],
+                         [ns // 2 for _start, ns, _h in mesh.blocks])[order, None, None]
+    closes = np.full(len(h), -1)
+    closes[mesh.block_ends // 2 - 1] = np.arange(len(mesh.blocks))
+    closes = closes[order]
     if g_close is not None:
         g_close = _columns(g_close)
     for lo in range(0, len(h), _SCAN_BLOCK):
         sl = slice(lo, lo + _SCAN_BLOCK)
-        g2b = g2[sl]
-        if g_close is not None:
-            hit = (closing >= lo) & (closing < lo + _SCAN_BLOCK)
-            if hit.any():
-                g2b = g2b.copy()
-                g2b[closing[hit] - lo] = g_close[hit]
-        yield sl, g0[sl], g1[sl], g2b, h[sl]
+        g_upper = g_up[sl]
+        hit = closes[sl] >= 0
+        if g_close is not None and hit.any():
+            g_upper = g_upper.copy()
+            g_upper[hit] = g_close[closes[sl][hit]]
+        g_near, g_far = (g_lo[sl], g_upper)[order]
+        e0, e1 = E0[sl], E1[sl]
+        # half panel [near, mid] and full panel [near, far] by Simpson
+        psi0 = e0 @ g_near
+        half = (h[sl] / 12.0) * (5.0 * psi0 + 8.0 * g_mid[sl] - Eh[sl] @ g_far)
+        full = (h[sl] / 3.0) * (e1 @ psi0 + 4.0 * (e1 @ g_mid[sl]) + g_far)
+        _affine_scan(e1 @ e0, full, near[sl.start], far[sl])
+        mids[sl] = e0 @ near[sl] + half
+    return out
 
 
 def accumulate_forward(F, B, gvals, mesh, init, g_close=None):
@@ -220,22 +240,7 @@ def accumulate_forward(F, B, gvals, mesh, init, g_close=None):
     value).  Forward panel recursion evaluated by the blocked affine
     scan; all factors stay bounded in the contracting direction.
     """
-    M = mesh.size
-    out = np.empty((M,) + np.shape(init))
-    out[0] = init
-    if np.shape(init)[0] == 0:
-        return out
-    x = _columns(out)
-    E0, E1, Bh = F[0::2], F[1::2], B[1::2]
-    starts, ends, odds = x[0:-1:2], x[2::2], x[1::2]
-    for sl, g0, g1, g2, h in _panel_blocks(mesh, gvals, g_close, reverse=False):
-        # half panel [t_q, t_{q+1}] and full panel [t_q, t_{q+2}] by Simpson
-        psi0 = E0[sl] @ g0
-        half = (h / 12.0) * (5.0 * psi0 + 8.0 * g1 - Bh[sl] @ g2)
-        full = (h / 3.0) * (E1[sl] @ psi0 + 4.0 * (E1[sl] @ g1) + g2)
-        _affine_scan(E1[sl] @ E0[sl], full, starts[sl.start], ends[sl])
-        odds[sl] = E0[sl] @ starts[sl] + half
-    return out
+    return _accumulate(F[0::2], F[1::2], B[1::2], gvals, mesh, init, g_close, top=False)
 
 
 def accumulate_backward(F, B, gvals, mesh, init, g_close=None):
@@ -245,24 +250,8 @@ def accumulate_backward(F, B, gvals, mesh, init, g_close=None):
     affine scan; Prop(t_j, t_{j+1}) is the backward sub-step propagator
     B[j], bounded for the expanding block.
     """
-    M = mesh.size
-    out = np.empty((M,) + np.shape(init))
-    out[M - 1] = init
-    if np.shape(init)[0] == 0:
-        return out
-    x = _columns(out)
-    # scan order runs from the mesh top down
-    D0, D1, Fh = B[0::2][::-1], B[1::2][::-1], F[0::2][::-1]
-    starts, ends, odds = x[2::2][::-1], x[0:-1:2][::-1], x[1::2][::-1]
-    for sl, g0, g1, g2, h in _panel_blocks(mesh, gvals, g_close, reverse=True):
-        # half panel [t_{q+1}, t_{q+2}] and full panel [t_q, t_{q+2}] by
-        # Simpson, seen from t_{q+1} and t_q
-        f2 = D1[sl] @ g2
-        half = (h / 12.0) * (-(Fh[sl] @ g0) + 8.0 * g1 + 5.0 * f2)
-        full = (h / 3.0) * (g0 + 4.0 * (D0[sl] @ g1) + D0[sl] @ f2)
-        _affine_scan(D0[sl] @ D1[sl], -full, starts[sl.start], ends[sl])
-        odds[sl] = D1[sl] @ starts[sl] - half
-    return out
+    return _accumulate(B[1::2][::-1], B[0::2][::-1], F[0::2][::-1], gvals, mesh, init,
+                       g_close, top=True)
 
 
 class IntegralOperator:

@@ -326,6 +326,8 @@ def cmd_check(args):
 
 
 def cmd_reduce(args):
+    if args.pairs < 1:
+        raise ConfigError(f"--pairs must be at least 1, got {args.pairs}")
     spec, name = _load_spec(args)
     red = _reduced(spec)
     sp = propagators(red, n_pairs=args.pairs, seed=_seed(args))

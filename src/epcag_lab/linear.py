@@ -141,8 +141,11 @@ def verify_flow_bounds(spec, pairs=None, n_pairs=200, seed=0):
     Without ``pairs``, ``n_pairs`` pairs are drawn with |t - s| <= 2.
     Returns the worst violation; passes iff it stays within 1e-8.
     When mu was sample-estimated the report is labeled accordingly.
+    Raises InvalidParameterError when there is no pair to check.
     """
     tol = 1e-8
+    if (n_pairs if pairs is None else len(pairs)) < 1:
+        raise InvalidParameterError("flow-bound check needs at least one (t, s) pair")
     lo, hi = spec.grid.window
     if pairs is None:
         rng = np.random.default_rng(seed)

@@ -48,11 +48,12 @@ __all__ = [
 class ManifoldParams:
     """Knobs of the successive-approximation engine.
 
-    ``alpha`` defaults to sigma/2 and ``eps`` to K.  ``n_bound`` is the
-    decay-class constant; when None it is taken as (K+eps)*||c|| per
-    evaluation, the bound the constructed solution actually satisfies.
-    The horizon is enlarged automatically until the truncated tail
-    estimate K*N*exp(-sigma*T)/sigma drops below the stop tolerance.
+    ``alpha`` defaults to sigma/2 and ``eps`` to K.  ``tol`` is the stop
+    tolerance and also the largest |g(t,0,0)| accepted on the mesh.  The
+    decay-class constant N is (K+eps)*||c|| per evaluation, the bound the
+    constructed solution actually satisfies; unless ``horizon`` is given,
+    the horizon is enlarged until the truncated tail estimate
+    K*N*exp(-sigma*T)/sigma drops below ``tol``.
     """
 
     alpha: float | None = None
@@ -61,8 +62,6 @@ class ManifoldParams:
     max_iter: int = 80
     horizon: float | None = None
     substeps: int = 64
-    n_bound: float | None = None
-    c2_tol: float | None = None
 
     def resolve(self, K, sigma):
         alpha = self.alpha if self.alpha is not None else sigma / 2.0
@@ -124,7 +123,8 @@ def _resolve_horizon(params, K, sigma, N, theta):
             math.log(max(K * N / (sigma * params.tol), 2.0)),
         ) / sigma
     T = max(T, 2.0 * theta)
-    # snap up to whole gaps so nearby evaluations share a workspace
+    # whole multiples of the gap bound: on a uniform grid the stable-side
+    # window [t0, t0 + T] then ends on a knot, with no partial interval
     return theta * math.ceil(T / theta - 1e-12)
 
 
@@ -150,21 +150,19 @@ def _run_picard(red, side, t0, c, params, initial=None):
     c = _anchor(red, side, c)
     t0 = _snap_to_knot(grid, t0)
     cnorm = float(np.linalg.norm(c))
-    N = params.n_bound if params.n_bound is not None else (K + eps) * cnorm
-    horizon = _resolve_horizon(params, K, sigma, N, theta)
+    horizon = _resolve_horizon(params, K, sigma, (K + eps) * cnorm, theta)
     op = _operator(red, side, t0, horizon, params.substeps)
     ts = op.mesh.ts
     k, m = red.k, red.m
     n = k + m
 
-    c2_tol = params.c2_tol if params.c2_tol is not None else params.tol
     zero = np.zeros((len(ts), n))
     g_origin = red.g(ts, zero, zero)
     worst0 = float(np.max(np.abs(g_origin))) if n else 0.0
-    if worst0 > c2_tol:
+    if worst0 > params.tol:
         raise ConditionError(
             f"nonlinearity does not vanish at the origin: max |g(t,0,0)| = "
-            f"{worst0:.3g} > {c2_tol:.3g}; the manifold construction requires "
+            f"{worst0:.3g} > {params.tol:.3g}; the manifold construction requires "
             "f(t,0,0) = 0 (use the bounded-solution engine otherwise)"
         )
 
@@ -221,16 +219,17 @@ def picard_unstable(red, t0, c_minus, params=None, initial=None):
                        initial)
 
 
-def _fd_coefficients(red, ts, z, zb, scale=1e-6, c4_tol=1e-3, c4_probes=3):
+def _fd_coefficients(red, ts, z, zb):
     """Central-difference Jacobians of g along a trajectory.
 
     Returns (Dz, Dw) of shape (M, n, n).  A coarse continuity probe
-    compares quotients at step h and h/2 at a few mesh points; violent
-    disagreement means the nonlinearity is not C1 there.
+    compares quotients at step h and h/2 at the first, middle and last
+    mesh points; disagreement beyond 1e-3 relative means the nonlinearity
+    is not C1 there.
     """
     n = z.shape[1]
     M = z.shape[0]
-    s = scale * (1.0 + np.linalg.norm(z, axis=1) + np.linalg.norm(zb, axis=1))
+    s = 1e-6 * (1.0 + np.linalg.norm(z, axis=1) + np.linalg.norm(zb, axis=1))
     Dz = np.empty((M, n, n))
     Dw = np.empty((M, n, n))
     for k in range(n):
@@ -238,13 +237,12 @@ def _fd_coefficients(red, ts, z, zb, scale=1e-6, c4_tol=1e-3, c4_probes=3):
         e[:, k] = s
         Dz[:, :, k] = (red.g(ts, z + e, zb) - red.g(ts, z - e, zb)) / (2.0 * s[:, None])
         Dw[:, :, k] = (red.g(ts, z, zb + e) - red.g(ts, z, zb - e)) / (2.0 * s[:, None])
-    probes = np.linspace(0, M - 1, c4_probes, dtype=int)
-    for j in probes:
+    for j in np.linspace(0, M - 1, 3, dtype=int):
         for k in range(n):
             e = np.zeros(n)
             e[k] = 0.5 * s[j]
             half = (red.g(ts[j], z[j] + e, zb[j]) - red.g(ts[j], z[j] - e, zb[j])) / s[j]
-            if np.any(np.abs(half - Dz[j, :, k]) > c4_tol * (1.0 + np.abs(Dz[j, :, k]))):
+            if np.any(np.abs(half - Dz[j, :, k]) > 1e-3 * (1.0 + np.abs(Dz[j, :, k]))):
                 raise ConditionError(
                     f"difference quotients of the nonlinearity oscillate at "
                     f"t={ts[j]:g}: continuous differentiability is in doubt"
@@ -252,12 +250,13 @@ def _fd_coefficients(red, ts, z, zb, scale=1e-6, c4_tol=1e-3, c4_probes=3):
     return Dz, Dw
 
 
-def jacobian_F(manifold, t0, c, tol=None, max_iter=120):
+def jacobian_F(manifold, t0, c, max_iter=120):
     """Derivative of the manifold function in c via the variational system.
 
     Solves the linear integral equations with coefficients frozen along
     the converged trajectory by the same truncated panel scheme; column
-    j is the response to the unit direction e_j.
+    j is the response to the unit direction e_j.  The iteration stops at
+    the manifold's own ``params.tol``.
     """
     red = manifold.red
     res = manifold.evaluate(t0, c)
@@ -266,7 +265,6 @@ def jacobian_F(manifold, t0, c, tol=None, max_iter=120):
     ncols = k if manifold.side == "stable" else m
     if ncols == 0 or n == 0:
         return np.zeros((m if manifold.side == "stable" else k, ncols))
-    tol = tol if tol is not None else manifold.params.tol
     op = _operator(red, manifold.side, res.t0, res.horizon, manifold.params.substeps)
 
     # coefficients at the operator's integrand points: along the
@@ -283,7 +281,7 @@ def jacobian_F(manifold, t0, c, tol=None, max_iter=120):
 
     W = op.apply(np.zeros((len(op.points), n, ncols)), u_init, v_init)
     for W, _d in op.iterate(lambda _t, W, Wb: Dz @ W + Dw @ Wb, W, u_init, v_init,
-                            tol, max_iter):
+                            manifold.params.tol, max_iter):
         pass
     if manifold.side == "stable":
         return W[0, k:, :].copy()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import UnsupportedSystemError
+from .errors import InvalidParameterError, UnsupportedSystemError
 from .integrate import propagator
 from .system import SystemSpec
 
@@ -245,8 +245,10 @@ def propagators(red, verify=True, n_pairs=40, seed=0):
     ||uprop(t,s)|| <= K exp(-sigma (t-s)) for t >= s and
     ||vprop(t,s)|| <= K exp( sigma (t-s)) for t <= s are verified on
     ``n_pairs`` sampled pairs with |t - s| <= 3; a violation beyond 1e-7
-    warns rather than fails.
+    warns rather than fails.  With ``verify``, ``n_pairs`` must be >= 1.
     """
+    if verify and n_pairs < 1:
+        raise InvalidParameterError(f"propagator check needs n_pairs >= 1, got {n_pairs}")
     uprop = lambda t, s: propagator(red.b_plus, s, t)
     vprop = lambda t, s: propagator(red.b_minus, s, t)
     checks = []

@@ -84,12 +84,12 @@ class PeriodicSolveResult:
     certified: bool
 
 
-def _check_h_bound(red, h0, samples=64, slack=1e-9):
+def _check_h_bound(red, h0):
     lo, hi = red.spec.grid.window
-    ts = np.linspace(lo, hi, samples)
-    zero = np.zeros((samples, red.n))
+    ts = np.linspace(lo, hi, 64)
+    zero = np.zeros((64, red.n))
     worst = float(np.max(np.linalg.norm(red.g(ts, zero, zero), axis=1)))
-    if worst > h0 * (1.0 + slack) + slack:
+    if worst > h0 * (1.0 + 1e-9) + 1e-9:
         raise ConditionError(
             f"sampled ||g(t,0,0)|| = {worst:.6g} exceeds the declared bound "
             f"h0 = {h0:.6g}"
@@ -179,9 +179,9 @@ def bounded_solution(red, window=None, params=None, probe=True, seed=0,
     )
 
 
-def periodicity_params(omega, omega_bar, tol=1e-9, max_denominator=10 ** 6):
+def periodicity_params(omega, omega_bar, tol=1e-9):
     """Coprime (k, m) with omega/omega_bar = k/m, detected by continued
-    fractions with a denominator cap.
+    fractions with denominators up to 10**6.
 
     Floating-point periods are never exactly rational, so the ratio is
     accepted when the best bounded-denominator approximation lands within
@@ -190,13 +190,13 @@ def periodicity_params(omega, omega_bar, tol=1e-9, max_denominator=10 ** 6):
     if omega <= 0 or omega_bar <= 0:
         raise InvalidParameterError("periods must be positive")
     ratio = omega / omega_bar
-    frac = Fraction(ratio).limit_denominator(max_denominator)
+    frac = Fraction(ratio).limit_denominator(10 ** 6)
     if frac.numerator <= 0:
         raise InvalidParameterError(f"ratio {ratio:g} has no positive rational approximation")
     if abs(ratio - float(frac)) > tol * max(1.0, ratio):
         raise InvalidParameterError(
             f"omega/omega_bar = {ratio!r} is not rational within {tol:g} for "
-            f"denominators up to {max_denominator}"
+            "denominators up to 1000000"
         )
     return PeriodicityParams(
         omega=float(omega), omega_bar=float(omega_bar),
@@ -205,24 +205,24 @@ def periodicity_params(omega, omega_bar, tol=1e-9, max_denominator=10 ** 6):
     )
 
 
-def _verify_c7(spec, omega, tol=1e-8, samples=24, seed=0):
-    rng = np.random.default_rng(seed)
+def _verify_c7(spec, omega):
+    rng = np.random.default_rng(0)
     lo, hi = spec.grid.window
-    for _ in range(samples):
+    for _ in range(24):
         t = rng.uniform(lo, hi)
         dA = np.linalg.norm(spec.eval_A(t + omega) - spec.eval_A(t), 2) \
             if lo <= t + omega <= hi else 0.0
         y = rng.uniform(-1, 1, spec.n)
         w = rng.uniform(-1, 1, spec.n)
         df = float(np.linalg.norm(spec.eval_f(t + omega, y, w) - spec.eval_f(t, y, w)))
-        if dA > tol or df > tol:
+        if dA > 1e-8 or df > 1e-8:
             raise ConditionError(
                 f"coefficients are not {omega:g}-periodic at t={t:.6g} "
                 f"(|dA|={dA:.3g}, |df|={df:.3g})"
             )
 
 
-def _verify_c8(grid, tol=1e-9):
+def _verify_c8(grid):
     if grid.periodic is None:
         raise ConditionError("grid carries no periodic extension (p, omega_bar)")
     p, obar = grid.periodic
@@ -230,7 +230,7 @@ def _verify_c8(grid, tol=1e-9):
     if len(knots) > p:
         shift = knots[p:] - knots[:-p]
         worst = float(np.max(np.abs(shift - obar)))
-        if worst > tol * (1.0 + abs(obar)):
+        if worst > 1e-9 * (1.0 + abs(obar)):
             raise ConditionError(
                 f"grid is not (p={p}, omega_bar={obar:g})-periodic: worst "
                 f"deviation {worst:.3g}"
@@ -238,8 +238,7 @@ def _verify_c8(grid, tol=1e-9):
     return p, obar
 
 
-def periodic_solution(red, pparams=None, params=None, window=None,
-                      store_iterates=True, ctol=1e-8):
+def periodic_solution(red, params=None):
     """Bounded solution of a periodic system plus its periodicity residual.
 
     Verifies by sampling that the coefficients share the declared period
@@ -254,12 +253,10 @@ def periodic_solution(red, pparams=None, params=None, window=None,
     omega = spec.period
     if omega is None:
         # autonomous coefficients: any period works; use the grid's own
-        probe = _autonomous_period(spec, obar, ctol)
-        omega = probe
+        omega = _autonomous_period(spec, obar)
     else:
-        _verify_c7(spec, omega, tol=ctol)
-    if pparams is None:
-        pparams = periodicity_params(omega, obar)
+        _verify_c7(spec, omega)
+    pparams = periodicity_params(omega, obar)
     period = pparams.period
 
     red_wrapped = red.with_time_wrapped(omega) if spec.period is not None else red
@@ -270,7 +267,7 @@ def periodic_solution(red, pparams=None, params=None, window=None,
     start = spec.grid.knot(start_idx)
     solve_window = (start, start + 2.0 * period)
     bounded = bounded_solution(red_wrapped, window=solve_window, params=params,
-                               probe=False, store_iterates=store_iterates)
+                               probe=False, store_iterates=True)
 
     # pair each mesh point of the first period with its shift by m*omega
     ts = bounded.ts
@@ -289,27 +286,23 @@ def periodic_solution(red, pparams=None, params=None, window=None,
         return float(np.max(np.linalg.norm(z[partner] - z[base], axis=1)))
 
     residual = one_period_residual(bounded.zs)
-    iterate_residuals = []
-    if bounded.iterates is not None:
-        inside = (bounded.full_ts >= ts[0] - 1e-12) & (bounded.full_ts <= ts[-1] + 1e-12)
-        for zi in bounded.iterates:
-            iterate_residuals.append(one_period_residual(zi[inside]))
+    inside = (bounded.full_ts >= ts[0] - 1e-12) & (bounded.full_ts <= ts[-1] + 1e-12)
     return PeriodicSolveResult(
         bounded=bounded, pparams=pparams, residual=residual,
-        iterate_residuals=iterate_residuals,
+        iterate_residuals=[one_period_residual(zi[inside]) for zi in bounded.iterates],
         certified=residual <= 10.0 * params.tol,
     )
 
 
-def _autonomous_period(spec, obar, tol, samples=16, seed=0):
-    rng = np.random.default_rng(seed)
+def _autonomous_period(spec, obar):
+    rng = np.random.default_rng(0)
     lo, hi = spec.grid.window
-    for _ in range(samples):
+    for _ in range(16):
         t1, t2 = rng.uniform(lo, hi, 2)
         y = rng.uniform(-1, 1, spec.n)
         w = rng.uniform(-1, 1, spec.n)
-        if (np.linalg.norm(spec.eval_A(t1) - spec.eval_A(t2), 2) > tol
-                or np.linalg.norm(spec.eval_f(t1, y, w) - spec.eval_f(t2, y, w)) > tol):
+        if (np.linalg.norm(spec.eval_A(t1) - spec.eval_A(t2), 2) > 1e-8
+                or np.linalg.norm(spec.eval_f(t1, y, w) - spec.eval_f(t2, y, w)) > 1e-8):
             raise ConditionError(
                 "system has no declared period and is not autonomous; "
                 "set the period explicitly"

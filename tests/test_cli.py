@@ -44,15 +44,22 @@ def test_simulate_csv_and_schema(tmp_path):
     _validate(tmp_path / "simulate-paper-example-1-T.json")
 
 
-def test_simulate_determinism(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--problem", "periodic-coupled", "--t0", "0", "--x0", "0.3",
+     "--t-end", "2"],
+    ["manifold", "--problem", "diag-dichotomy", "--t0", "0", "--c", "0.5"],
+    ["bounded", "--problem", "forced-scalar", "--window", "0", "3"],
+    ["periodic", "--problem", "periodic-coupled"],
+], ids=["simulate", "manifold", "bounded", "periodic"])
+def test_simulate_determinism(tmp_path, argv):
     for d in ("a", "b"):
-        code = run(["simulate", "--problem", "periodic-coupled", "--t0", "0",
-                    "--x0", "0.3", "--t-end", "2", "--seed", "7",
-                    "-o", str(tmp_path / d), "--stamp", "T"])
+        code = run(argv + ["--seed", "7", "-o", str(tmp_path / d), "--stamp", "T"])
         assert code == 0
-    f1 = (tmp_path / "a" / "simulate-periodic-coupled-T.csv").read_bytes()
-    f2 = (tmp_path / "b" / "simulate-periodic-coupled-T.csv").read_bytes()
-    assert f1 == f2
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert {n.rsplit(".", 1)[-1] for n in names} >= {"json", "csv"}
+    for n in names:
+        assert (tmp_path / "a" / n).read_bytes() == (tmp_path / "b" / n).read_bytes()
 
 
 def test_backcontinue_no_preimage_exit_code(tmp_path):
@@ -138,6 +145,15 @@ def test_reduce_summary(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "contracting dim 1" in out
     _validate(tmp_path / "reduce-diag-dichotomy-T.json")
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_reduce_without_pairs_is_config_error(tmp_path, pairs, capsys):
+    code = run(["reduce", "--problem", "diag-dichotomy", "--pairs", pairs,
+                "-o", str(tmp_path), "--stamp", "T"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
 
 
 def test_config_file_roundtrip(tmp_path):

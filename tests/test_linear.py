@@ -116,6 +116,14 @@ def test_flow_bounds_zero_matrix():
     assert rep.passed
 
 
+@pytest.mark.parametrize("kwargs", [{"pairs": []}, {"pairs": np.empty((0, 2))},
+                                    {"n_pairs": 0}, {"n_pairs": -3}],
+                         ids=["empty-list", "empty-array", "zero", "negative"])
+def test_flow_bounds_with_nothing_to_check_is_invalid(kwargs):
+    with pytest.raises(InvalidParameterError):
+        verify_flow_bounds(get_problem("diag-dichotomy"), **kwargs)
+
+
 def test_flow_bounds_scalar_two():
     spec = get_problem("paper-example-1")
     pairs = [(s + d, s) for s in (0.0, 2.0, 4.0) for d in (0.25, 0.5, 1.0)]

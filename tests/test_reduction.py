@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from epcag_lab.errors import UnsupportedSystemError
+from epcag_lab.errors import InvalidParameterError, UnsupportedSystemError
 from epcag_lab.grid import make_uniform_grid
 from epcag_lab.linear import dichotomy_for_constant_A
 from epcag_lab.reduction import propagators, reduce
@@ -84,6 +84,15 @@ def test_propagator_scalars():
     for t, s in [(0.0, 1.0), (-1.0, 1.5)]:
         nrm = np.linalg.norm(sp.vprop(t, s), 2)
         assert nrm <= red.K * math.exp(red.sigma * (t - s)) + 1e-9
+
+
+@pytest.mark.parametrize("n_pairs", [0, -3])
+def test_propagator_check_without_pairs_is_invalid(n_pairs):
+    red = reduce(_spec(np.diag([-1.0, 1.0])), dichotomy_for_constant_A(np.diag([-1.0, 1.0])))
+    with pytest.raises(InvalidParameterError):
+        propagators(red, n_pairs=n_pairs)
+    sp = propagators(red, verify=False, n_pairs=n_pairs)
+    assert sp.checks == () and sp.worst_violation is None
 
 
 def test_propagator_triangular_closed_form():
