@@ -31,10 +31,10 @@ the negative step -h: its panels go from t_{q+2} to t_q, P_j = B[q] B[q+1],
 and one function builds the Simpson terms of both directions.  The
 panels are taken ``_SCAN_BLOCK`` at a time.  A block's panel terms are
 built with batched matrix products over strided views of the mesh
-arrays, its affine maps are composed by a doubling (Hillis-Steele)
-prefix scan (Blelloch 1990, "Prefix sums and their applications"), and
-the block starts from the last value of the block before.  The odd mesh
-points then follow from their panel's even start in one vector step.
+arrays, its affine maps are composed by the doubling (Hillis-Steele)
+prefix scan ``integrate.affine_scan``, and the block starts from the
+last value of the block before.  The odd mesh points then follow from
+their panel's even start in one vector step.
 
 The composed maps are products of consecutive P_j, i.e. propagators
 Prop(t_b, t_a) of the contracting block in its contracting direction:
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InvalidParameterError
-from .integrate import propagator
+from .integrate import affine_scan, propagator
 
 __all__ = ["QuadMesh", "IntegralOperator", "build_mesh", "block_propagators",
            "accumulate_forward", "accumulate_backward"]
@@ -161,22 +161,6 @@ def block_propagators(block, mesh, dim):
     return F, B
 
 
-def _affine_scan(A, b, x0, out):
-    """Write x_1..x_n of x_{j+1} = A_j x_j + b_j, x_0 = x0, into ``out``.
-
-    ``A`` is (n, d, d), ``b`` and ``out`` are (n, d, r).  A doubling scan
-    composes the maps in log2(n) vector steps; it overwrites A and b.
-    """
-    s = 1
-    while s < len(A):
-        # (A_j, b_j) <- (A_j, b_j) after (A_{j-s}, b_{j-s})
-        b[s:] += A[s:] @ b[:-s]
-        A[s:] = A[s:] @ A[:-s]
-        s *= 2
-    np.matmul(A, x0, out=out)
-    out += b
-
-
 def _columns(a):
     """View of a (..., d) or (..., d, r) array as (..., d, r)."""
     a = np.asarray(a)
@@ -226,7 +210,7 @@ def _accumulate(E0, E1, Eh, gvals, mesh, init, g_close, top):
         psi0 = e0 @ g_near
         half = (h[sl] / 12.0) * (5.0 * psi0 + 8.0 * g_mid[sl] - Eh[sl] @ g_far)
         full = (h[sl] / 3.0) * (e1 @ psi0 + 4.0 * (e1 @ g_mid[sl]) + g_far)
-        _affine_scan(e1 @ e0, full, near[sl.start], far[sl])
+        affine_scan(e1 @ e0, full, near[sl.start], far[sl])
         mids[sl] = e0 @ near[sl] + half
     return out
 

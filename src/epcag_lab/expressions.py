@@ -12,6 +12,11 @@ FUNC is one of sin, cos, exp, log, abs; ``pi`` is the only built-in
 constant.  Variable NAMEs are restricted to the declared set (typically
 t, y1..yn, w1..wn).  There are no conditionals or loops, so evaluation
 is pure and finite differences are well defined.
+
+A domain error (division by zero, log of a non-positive value, an invalid
+power) raises ``EvaluationError`` when the operation's result is a
+scalar.  When it is an array, each bad element becomes NaN instead, so
+one bad row of a batch does not end the evaluation of the others.
 """
 
 import re
@@ -136,6 +141,15 @@ class _Parser:
         self.fail(f"unexpected {tok[1] or 'end of input'!r}", tok)
 
 
+def _checked(value, bad, what, pos):
+    """``value`` with NaN where ``bad``; raises for a scalar result."""
+    if not np.any(bad):
+        return value
+    if np.ndim(value) == 0:
+        raise EvaluationError(f"{what} at line {pos[0]}, column {pos[1]}")
+    return np.where(bad, np.nan, value)
+
+
 def _eval(node, env):
     kind = node[0]
     if kind == "num":
@@ -148,11 +162,9 @@ def _eval(node, env):
         name, pos, arg = node[1], node[2], node[3]
         val = _eval(arg, env)
         if name == "log":
-            if np.any(np.asarray(val) <= 0):
-                raise EvaluationError(
-                    f"log of non-positive value at line {pos[0]}, column {pos[1]}"
-                )
-            return np.log(val)
+            bad = np.asarray(val) <= 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return _checked(np.log(val), bad, "log of non-positive value", pos)
         return FUNCTIONS[name](val)
     # binary
     op, pos, a, b = node[1], node[2], node[3], node[4]
@@ -164,19 +176,15 @@ def _eval(node, env):
     if op == "*":
         return x * y
     if op == "/":
-        if np.any(np.asarray(y) == 0):
-            raise EvaluationError(
-                f"division by zero at line {pos[0]}, column {pos[1]}"
-            )
-        return x / y
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _checked(np.true_divide(x, y), np.asarray(y) == 0, "division by zero", pos)
     if op == "^":
-        with np.errstate(invalid="raise"):
-            try:
-                return x ** y
-            except FloatingPointError:
-                raise EvaluationError(
-                    f"invalid power at line {pos[0]}, column {pos[1]}"
-                ) from None
+        with np.errstate(invalid="ignore"):
+            value = np.power(x, y)
+        # NaN from operands that are not NaN is an invalid power (a
+        # negative base with a fractional exponent)
+        bad = np.isnan(value) & ~np.isnan(x) & ~np.isnan(y)
+        return _checked(value, bad, "invalid power", pos)
     raise AssertionError(op)
 
 

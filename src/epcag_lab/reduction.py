@@ -84,7 +84,7 @@ class ReducedSystem:
         return SystemSpec(
             n=n, A=A_eval, f=self.g, grid=self.spec.grid, mu=mu, lip=self.L,
             h0=h0, period=self.spec.period, name=self.spec.name + "-reduced",
-            a_constant=a_const,
+            a_constant=a_const, f_ignores_y=self.spec.f_ignores_y,
             mu_estimated=self.spec.mu_estimated, lip_estimated=self.spec.lip_estimated,
         )
 

@@ -20,7 +20,7 @@ from .errors import (
     InvalidParameterError,
     OutOfWindowError,
 )
-from .integrate import rk4_final, rk4_segment
+from .integrate import Affine, rk4_final, rk4_segment
 from .linear import check_backward_uniqueness
 from .system import state_vector
 
@@ -129,12 +129,20 @@ class BackwardContinuation:
 def _frozen_rhs(spec, w):
     """Right-hand side t, y -> A(t) y + f(t, y, w) with w held frozen.
 
-    When ``spec.a_constant`` is set it must equal A(t) for every t; the
-    solver then uses it in place of A, transposing it once and calling
-    ``spec.f`` without the ``eval_A``/``eval_f`` wrappers.  A scalar or
-    short f result is still broadcast to the shape of y, as ``eval_f``
-    does.
+    When ``spec.f_ignores_y`` is set the equation is affine in y with the
+    forcing f(t, w), and the result is an ``integrate.Affine`` that the
+    integrators take in closed form.  Otherwise it is a callable for the
+    RK4 step loop.  When ``spec.a_constant`` is set it must equal A(t) for
+    every t; it is then used in place of A (transposed once for the loop,
+    which calls ``spec.f`` without the ``eval_A``/``eval_f`` wrappers).  A
+    scalar or short f result is still broadcast to the shape of y, as
+    ``eval_f`` does.
     """
+    if spec.f_ignores_y:
+        A = spec.eval_A if spec.a_constant is None else np.asarray(
+            spec.a_constant, dtype=float).reshape(spec.n, spec.n)
+        return Affine(A, _forcing(spec, w))
+
     if spec.a_constant is None:
         def rhs(t, y):
             return y @ spec.eval_A(t).T + spec.eval_f(t, y, w)
@@ -150,6 +158,27 @@ def _frozen_rhs(spec, w):
         return dy
 
     return rhs_const
+
+
+def _forcing(spec, w):
+    """The forcing ts -> f(ts, w, w) of the frozen-argument equation when f
+    does not read y, with shape (T,) + w.shape for T stage times.
+
+    A stage value that is not finite is evaluated again at its time alone,
+    as the step loop evaluates it, so that a domain error the loop raises
+    (one not local to a row of a batch) is raised here too.
+    """
+    w = np.asarray(w, dtype=float)
+
+    def g(ts):
+        out = spec.eval_f(ts.reshape((-1,) + (1,) * (w.ndim - 1)), w, w)
+        out = np.broadcast_to(out, ts.shape + w.shape)
+        finite = np.isfinite(out).reshape(len(ts), -1).all(axis=1)
+        if not finite.all():
+            spec.eval_f(ts[np.argmin(finite)], w, w)
+        return out
+
+    return g
 
 
 def _segment_steps(substeps, span, full_span):
@@ -185,7 +214,7 @@ def solve_forward(spec, t0, y0, t_end, substeps=64, w0=None, guard=1e12):
         w = state_vector(w0, spec.n, "w0")
 
     if t_end == t0:
-        d = _frozen_rhs(spec, w)(t0, y0)
+        d = spec.eval_A(t0) @ y0 + spec.eval_f(t0, y0, w)
         return SolutionPath(
             ts=np.array([t0]), ys=y0[None], derivs=d[None], frozen=w[None],
             intervals=np.array([grid.interval_index(t0)]),

@@ -11,7 +11,10 @@ of A and f when they are periodic in t.
 
 Evaluators broadcast: ``f(t, y, w)`` accepts ``y``/``w`` of shape (n,) or
 (m, n) with scalar or (m,)-shaped t and returns the matching shape.  A(t)
-takes scalar t and returns an (n, n) matrix.
+takes scalar t and returns an (n, n) matrix.  When f does not read y
+(``f_ignores_y``), f must also broadcast a (T, 1)-shaped t against (m, n)
+arguments (a (T,)-shaped t against (n,) ones) to give (T, m, n) (or
+(T, n)): the solver samples it at every RK4 stage time in one call.
 """
 
 import math
@@ -56,16 +59,27 @@ class SystemSpec:
     # fundamental_matrix and reduce pass it (or its blocks) on as the array
     # coefficient that integrate.propagator takes in closed form.
     a_constant: np.ndarray | None = None
+    # When set, f(t, y, w) must not depend on y: between two knots the
+    # equation is then affine in y with the forcing f(t, w), and the solver
+    # integrates it in closed form (integrate.Affine) instead of stepping.
+    f_ignores_y: bool = False
 
     def eval_A(self, t):
-        return np.asarray(self.A(t), dtype=float).reshape(self.n, self.n)
+        """A(t) as (n, n); for a 1-D array of T times, (T, n, n)."""
+        if np.ndim(t) == 0:
+            return np.asarray(self.A(t), dtype=float).reshape(self.n, self.n)
+        if getattr(self.A, "takes_time_arrays", False):
+            return np.asarray(self.A(t), dtype=float).reshape(-1, self.n, self.n)
+        return np.stack([self.eval_A(tau) for tau in t])
+
+    eval_A.takes_time_arrays = True
 
     def eval_f(self, t, y, w):
         y = np.asarray(y, dtype=float)
         w = np.asarray(w, dtype=float)
         out = np.asarray(self.f(t, y, w), dtype=float)
         if out.shape != y.shape:
-            out = np.broadcast_to(out, y.shape).copy()
+            out = np.broadcast_to(out, np.broadcast_shapes(out.shape, y.shape)).copy()
         return out
 
     def with_window(self, window):
@@ -191,7 +205,12 @@ def _parse_grid(items):
 
 
 def _build_matrix_eval(entries, n):
-    """A(t) evaluator from a dict (row, col) -> ExpressionTree."""
+    """A(t) evaluator from a dict (row, col) -> ExpressionTree.
+
+    A time-varying evaluator takes a scalar t, giving (n, n), or a 1-D
+    array of times, giving (T, n, n) from one walk of each tree.  A domain
+    error at any of the times raises, as it does for a scalar t.
+    """
     const = all(not e.variables for e in entries.values())
     if const:
         mat = np.zeros((n, n))
@@ -200,11 +219,16 @@ def _build_matrix_eval(entries, n):
         return (lambda t, _m=mat: _m), mat
 
     def A(t):
-        mat = np.zeros((n, n))
+        t = np.asarray(t, dtype=float)
+        mat = np.zeros(t.shape + (n, n))
         for (r, c), tree in entries.items():
-            mat[r, c] = float(tree.eval({"t": t}))
+            mat[..., r, c] = tree.eval({"t": t})
+        if t.ndim and not np.all(np.isfinite(mat)):
+            # an element-wise domain error gave NaN: evaluate its time alone
+            A(t[np.argmin(np.isfinite(mat).all(axis=(1, 2)))])
         return mat
 
+    A.takes_time_arrays = True
     return A, None
 
 
@@ -333,6 +357,7 @@ def _system_from_sections(sections):
 
     spec = SystemSpec(
         n=n, A=A, f=f, grid=grid, mu=0.0, lip=0.0, a_constant=a_const,
+        f_ignores_y=not any(v.startswith("y") for tree in f_trees for v in tree.variables),
         name="config",
     )
 
@@ -448,6 +473,7 @@ def _example1(window=(0.0, 10.0)):
     return SystemSpec(
         n=1, A=lambda t: A, f=f, grid=make_uniform_grid(1.0, 0.0, window),
         mu=2.0, lip=5.0, h0=0.0, name="paper-example-1", a_constant=A,
+        f_ignores_y=True,
     )
 
 
@@ -464,6 +490,7 @@ def _diag_dichotomy(sigma0=1.0, coupling=0.0, coupling_arg="frozen",
     if sigma0 <= 0:
         raise InvalidParameterError("sigma0 must be positive")
     A = np.diag([-sigma0, sigma0])
+    f_ignores_y = f is None and (float(coupling) == 0.0 or coupling_arg == "frozen")
     if f is None:
         a = float(coupling)
         if a == 0.0:
@@ -483,6 +510,7 @@ def _diag_dichotomy(sigma0=1.0, coupling=0.0, coupling_arg="frozen",
     return SystemSpec(
         n=2, A=lambda t: A, f=f, grid=make_uniform_grid(step, 0.0, window),
         mu=sigma0, lip=float(lip), h0=0.0, name="diag-dichotomy", a_constant=A,
+        f_ignores_y=f_ignores_y,
     )
 
 
@@ -498,7 +526,7 @@ def _forced_scalar(level=0.5, feedback=0.0, step=1.0, window=(-30.0, 30.0)):
     return SystemSpec(
         n=1, A=lambda t: A, f=f, grid=make_uniform_grid(step, 0.0, window),
         mu=1.0, lip=abs(feedback), h0=abs(level), name="forced-scalar",
-        a_constant=A,
+        a_constant=A, f_ignores_y=True,
     )
 
 
@@ -513,7 +541,7 @@ def _periodic_coupled(window=(0.0, 2.0)):
     return SystemSpec(
         n=1, A=lambda t: A, f=f, grid=make_uniform_grid(0.5, 0.0, window),
         mu=1.0, lip=0.1, h0=1.0, period=1.0, name="periodic-coupled",
-        a_constant=A,
+        a_constant=A, f_ignores_y=True,
     )
 
 

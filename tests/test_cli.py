@@ -1,10 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from epcag_lab.cli import run
-from epcag_lab.reporting import load_schema
+from epcag_lab.reporting import emit_report, load_schema
 
 CONFIG = """
 [system]
@@ -60,6 +61,41 @@ def test_simulate_determinism(tmp_path, argv):
     assert {n.rsplit(".", 1)[-1] for n in names} >= {"json", "csv"}
     for n in names:
         assert (tmp_path / "a" / n).read_bytes() == (tmp_path / "b" / n).read_bytes()
+
+
+def test_verify_writes_a_report_that_validates(tmp_path):
+    code = run(["verify", "-o", str(tmp_path), "--stamp", "T"])
+    assert code == 0
+    payload = _validate(tmp_path / "verify-registry-T.json")
+    assert payload["results"]["all_passed"] is True
+    assert [c["number"] for c in payload["results"]["criteria"]] == list(range(1, 14))
+
+
+def test_verify_report_is_deterministic(tmp_path):
+    for d in ("a", "b"):
+        code = run(["verify", "--only", "1,2,3", "--seed", "7",
+                    "-o", str(tmp_path / d), "--stamp", "T"])
+        assert code == 0
+    name = "verify-registry-T.json"
+    assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_report_converts_every_numpy_scalar(tmp_path):
+    results = {"ok": np.bool_(True), "x": np.float32(0.5), "k": np.int8(3),
+               "s": np.str_("a")}
+    _, paths = emit_report(tmp_path, "check", None, results, stamp="T")
+    assert json.loads(paths["json"].read_text())["results"] == {
+        "ok": True, "x": 0.5, "k": 3, "s": "a"}
+
+
+def test_simulate_domain_error_of_the_state_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "div.cfg"
+    cfg.write_text(CONFIG.replace("f1 = 0.5 + 0.1*w1", "f1 = 0.5/w1"))
+    argv = ["simulate", str(cfg), "--t0", "0", "--t-end", "2", "-o", str(tmp_path / "out"),
+            "--stamp", "T"]
+    assert run(argv + ["--x0", "0.2"]) == 0
+    assert run(argv + ["--x0", "0"]) == 1
+    assert "division by zero at line 5" in capsys.readouterr().err
 
 
 def test_backcontinue_no_preimage_exit_code(tmp_path):

@@ -90,6 +90,28 @@ def test_log_domain_error():
         tree.eval({"y1": -1.0})
 
 
+def test_invalid_power_of_scalars_raises():
+    tree = parse_expression("y1^0.5", VARS)
+    with pytest.raises(EvaluationError) as exc:
+        tree.eval({"y1": -4.0})
+    assert "column" in str(exc.value)
+
+
+@pytest.mark.parametrize("src,bad", [
+    ("1/w1", [0.0]), ("log(w1)", [0.0, -1.0]), ("w1^0.5", [-1.0]),
+    ("t/(w1 - t)", [1.0]),
+])
+def test_domain_error_of_array_operand_is_nan_per_element(src, bad):
+    tree = parse_expression(src, VARS)
+    w = np.array([-1.0, 0.0, 1.0, 4.0])
+    with np.errstate(all="raise"):
+        out = tree.eval({"w1": w, "t": 1.0})
+    is_bad = np.isin(w, bad)
+    assert np.isnan(out[is_bad]).all() and np.isfinite(out[~is_bad]).all()
+    for wk, ok in zip(w[~is_bad], out[~is_bad]):
+        assert ok == tree.eval({"w1": wk, "t": 1.0})
+
+
 def test_broadcast_evaluation():
     tree = parse_expression("y1^2 + t", VARS)
     y = np.array([1.0, 2.0, 3.0])

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epcag_lab import solver
 from epcag_lab.errors import BlowUpError, EpcagError, InvalidParameterError
@@ -235,6 +237,47 @@ def test_uniqueness_property_under_bw():
         x = rng.uniform(-3, 3, 1)
         ps = back_continue_interval(spec, i, spec.grid.knot(i + 1), x, substeps=64)
         assert ps.classification == "unique"
+
+
+@settings(max_examples=60, deadline=None)
+@given(i=st.integers(0, 3), frac=st.floats(0.1, 1.0), x=st.floats(-3.0, 3.0))
+def test_round_trip_on_periodic_coupled(i, frac, x):
+    # the backward-uniqueness inequality holds, so every search is unique
+    spec = get_problem("periodic-coupled")
+    a, b = spec.grid.knot(i), spec.grid.knot(i + 1)
+    t_target = a + frac * (b - a)
+    ps = back_continue_interval(spec, i, t_target, [x], substeps=64)
+    assert ps.classification == "unique"
+    path = solve_forward(spec, a, ps.preimages[0], t_target, substeps=64)
+    assert abs(path.ys[-1][0] - x) <= 1e-6
+
+
+DOMAIN_ERROR_CONFIG = """
+[system]
+n = 2
+A11 = -0.5
+A12 = 0.3
+A21 = -0.2
+A22 = 0.4
+f1 = 0.01/(1 + w1^2) + 0.001*y1/w1
+f2 = 0.01*cos(w1) - 0.01*sin(y1)
+[grid]
+step = 1.0
+window = 0 4
+[constants]
+mu = 0.75
+lip = 0.03
+"""
+
+
+def test_domain_error_of_one_start_stays_row_local():
+    # w1 = 0 lies on the start lattice, where f1 divides by zero
+    spec = parse_system(DOMAIN_ERROR_CONFIG)
+    target = np.array([0.3, -0.2])
+    ps = back_continue_interval(spec, 0, 1.0, target)
+    assert ps.classification == "unique"
+    image = solve_forward(spec, 0.0, ps.preimages[0], 1.0).ys[-1]
+    assert np.linalg.norm(image - target) <= 1e-9 * (1.0 + np.linalg.norm(target))
 
 
 def test_solution_path_value_interpolation():
