@@ -55,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InvalidParameterError
+from .expressions import raise_at_first_nonfinite
 from .integrate import affine_scan, propagator
 
 __all__ = ["QuadMesh", "IntegralOperator", "build_mesh", "block_propagators",
@@ -292,10 +293,15 @@ class IntegralOperator:
         Yields (z_new, d) per sweep, d the sup over the mesh ``rows`` of
         the change's norm along the state axis; stops after the first
         d <= tol and raises ConvergenceError after ``max_iter`` sweeps.
+        A domain error of the integrand at any point raises at once (see
+        ``expressions.raise_at_first_nonfinite``).
         """
         d = ratio = None
         for _ in range(max_iter):
-            z_new = self.apply(integrand(self.points, *self.arguments(z)), u0, v0)
+            args = self.arguments(z)
+            g = raise_at_first_nonfinite(integrand, integrand(self.points, *args),
+                                         self.points, *args)
+            z_new = self.apply(g, u0, v0)
             d_new = float(np.max(np.linalg.norm((z_new - z)[rows], axis=1)))
             ratio = d_new / d if d else None
             d = d_new

@@ -16,7 +16,9 @@ is pure and finite differences are well defined.
 A domain error (division by zero, log of a non-positive value, an invalid
 power) raises ``EvaluationError`` when the operation's result is a
 scalar.  When it is an array, each bad element becomes NaN instead, so
-one bad row of a batch does not end the evaluation of the others.
+one bad row of a batch does not end the evaluation of the others.  Where
+the rows of an array are the times of one function rather than separate
+states, ``raise_at_first_nonfinite`` restores the error.
 """
 
 import re
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import EvaluationError, ExpressionError
 
-__all__ = ["ExpressionTree", "parse_expression", "FUNCTIONS"]
+__all__ = ["ExpressionTree", "parse_expression", "FUNCTIONS", "raise_at_first_nonfinite"]
 
 FUNCTIONS = {
     "sin": np.sin,
@@ -186,6 +188,22 @@ def _eval(node, env):
         bad = np.isnan(value) & ~np.isnan(x) & ~np.isnan(y)
         return _checked(value, bad, "invalid power", pos)
     raise AssertionError(op)
+
+
+def raise_at_first_nonfinite(evaluate, values, *points):
+    """Return ``values``, the results of ``evaluate(*points)`` stacked along
+    axis 0, after evaluating again, alone, the first row that is not finite.
+
+    The row alone gives scalar operations, so a domain error that made the
+    row NaN raises its ``EvaluationError`` with its position.  A row that
+    is not finite for another reason (an overflow) evaluates without error
+    and ``values`` is returned as it is.
+    """
+    if not np.isfinite(values).all():
+        finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+        i = int(np.argmin(finite))
+        evaluate(*(p[i] for p in points))
+    return values
 
 
 def _free_vars(node, out):

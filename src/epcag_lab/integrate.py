@@ -13,10 +13,9 @@ for linear systems).  One RK4 step of it is the affine map
 whose M_j and c_j follow from the same stage polynomials in A and g at the
 step's three stage times t_j, t_j + h/2 and t_j + h.  So A and g are
 sampled once each at the 2n + 1 distinct stage times, the maps are built
-by batched matrix products, and they are composed by a pairwise tree when
-only the final value is needed, or by a doubling prefix scan when every
-step value is.  Only a right-hand side that reads y in any other way runs
-the step loop.
+by batched matrix products, and a doubling prefix scan composes them into
+every step value, the final one included.  Only a right-hand side that
+reads y in any other way runs the step loop.
 """
 
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import BlowUpError, IntegrationFailureError
 
-__all__ = ["Affine", "rk4_segment", "rk4_final", "propagator", "affine_scan"]
+__all__ = ["Affine", "rk4_segment", "rk4_final", "propagator", "affine_scan", "sample_A"]
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ def _step_matrix(A0, A_mid, A_end, h):
     return eye + _increment(A_mid, A_end, h, A0, shift=eye)
 
 
-def _samples(A, times):
+def sample_A(A, times):
     """A at ``times`` as (T, n, n); a constant A is returned as it is."""
     if isinstance(A, np.ndarray):
         return np.asarray(A, dtype=float)
@@ -94,7 +93,7 @@ def _affine_steps(rhs, t0, t1, n_steps, y_shape):
     times = np.empty(2 * n_steps + 1)
     times[0::2] = ts
     times[1::2] = ts[:-1] + 0.5 * h
-    A = _samples(rhs.A, times)
+    A = sample_A(rhs.A, times)
     n = A.shape[-1]
     if A.ndim == 2:
         M = np.broadcast_to(_step_matrix(A, A, A, h), (n_steps, n, n))
@@ -113,37 +112,24 @@ def _affine_steps(rhs, t0, t1, n_steps, y_shape):
     return ts, M, c, A_ts, G[0::2]
 
 
-def _compose(M, c):
-    """(M_{n-1} ... M_0, sum_j M_{n-1} ... M_{j+1} c_j) by a pairwise tree.
-
-    ``c`` may be None (no forcing); log2(n) batched products.
-    """
-    while len(M) > 1:
-        odd = len(M) % 2
-        first, second = M[0:len(M) - odd:2], M[1::2]
-        if c is not None:
-            c_pair = second @ c[0:len(c) - odd:2] + c[1::2]
-            c = np.concatenate([c_pair, c[-1:]]) if odd else c_pair
-        M_pair = second @ first
-        M = np.concatenate([M_pair, M[-1:]]) if odd else M_pair
-    return M[0], None if c is None else c[0]
-
-
 def affine_scan(A, b, x0, out):
     """Write x_1..x_n of x_{j+1} = A_j x_j + b_j, x_0 = x0, into ``out``.
 
-    ``A`` is (n, d, d), ``b`` and ``out`` are (n, d, r).  A doubling scan
-    (Blelloch 1990, "Prefix sums and their applications") composes the
-    maps in log2(n) vector steps; it overwrites A and b.
+    ``A`` is (n, d, d), ``b`` and ``out`` are (n, d, r); b = None is
+    b = 0.  A doubling scan (Blelloch 1990, "Prefix sums and their
+    applications") composes the maps in log2(n) vector steps; it
+    overwrites A and b.
     """
     s = 1
     while s < len(A):
         # (A_j, b_j) <- (A_j, b_j) after (A_{j-s}, b_{j-s})
-        b[s:] += A[s:] @ b[:-s]
+        if b is not None:
+            b[s:] += A[s:] @ b[:-s]
         A[s:] = A[s:] @ A[:-s]
         s *= 2
     np.matmul(A, x0, out=out)
-    out += b
+    if b is not None:
+        out += b
 
 
 def _affine_trajectory(rhs, t0, y, t1, n_steps):
@@ -154,9 +140,8 @@ def _affine_trajectory(rhs, t0, y, t1, n_steps):
     x0 = y.reshape(-1, n).T
     xs = np.empty((n_steps + 1,) + x0.shape)
     xs[0] = x0
-    b = np.zeros((n_steps,) + x0.shape) if c is None else c
     with np.errstate(over="ignore", invalid="ignore"):
-        affine_scan(np.array(M), b, x0, xs[1:])
+        affine_scan(np.array(M), c, x0, xs[1:])
     return ts, xs, A_ts, g_ts
 
 
@@ -170,7 +155,8 @@ def _blow_up(guard, t):
 
 
 def _check_guard(ys, ts, guard):
-    """Raise BlowUpError at the first step value not below ``guard``."""
+    """Raise BlowUpError at the first step value not below ``guard``;
+    ``ys`` stacks the step values along axis 0, in any layout."""
     bad = ~np.all(np.abs(ys[1:].reshape(len(ys) - 1, -1)) < guard, axis=1)
     if bad.any():
         raise _blow_up(guard, ts[int(np.argmax(bad)) + 1])
@@ -216,24 +202,15 @@ def rk4_segment(rhs, t0, y0, t1, n_steps, guard=None):
 def rk4_final(rhs, t0, y0, t1, n_steps, guard=None):
     """Like rk4_segment but returns only the final state.
 
-    An ``Affine`` right-hand side composes its step maps by the pairwise
-    tree, or by the prefix scan when a guard must see every step value.
+    An ``Affine`` right-hand side takes the last value of the prefix scan.
     """
     y = np.asarray(y0, dtype=float)
     if isinstance(rhs, Affine):
+        _, xs, _, _ = _affine_trajectory(rhs, t0, y, t1, n_steps)
         if guard is not None:
-            _, xs, _, _ = _affine_trajectory(rhs, t0, y, t1, n_steps)
-            ys = _rows(xs, y.shape)
             # the times the step loop below reports, t0 + (j + 1) h
-            _check_guard(ys, t0 + ((t1 - t0) / n_steps) * np.arange(n_steps + 1), guard)
-            return ys[-1]
-        n = y.shape[-1]
-        _, M, c, _, _ = _affine_steps(rhs, t0, t1, n_steps, y.shape)
-        M_all, c_all = _compose(M, c)
-        x = M_all @ y.reshape(-1, n).T
-        if c_all is not None:
-            x += c_all
-        return x.T.reshape(y.shape)
+            _check_guard(xs, t0 + ((t1 - t0) / n_steps) * np.arange(n_steps + 1), guard)
+        return _rows(xs[-1:], y.shape)[0]
     h = (t1 - t0) / n_steps
     t = t0
     for j in range(n_steps):
@@ -252,9 +229,9 @@ def propagator(A, s, t, n_steps=None):
     RK4 steps default to max(4, ceil(256 |t - s|)).  The result is the
     product M_{n-1} ... M_0 of the RK4 step matrices, which equals the
     step loop to rounding.  A callable is sampled once per distinct stage
-    time and the product taken by the pairwise tree.  For an array every
-    step matrix is R(hA), R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, built
-    once and raised to the power by repeated squaring.
+    time and the product is the last value of the prefix scan.  For an
+    array every step matrix is R(hA), R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
+    built once and raised to the power by repeated squaring.
     """
     if n_steps is None:
         n_steps = max(4, int(np.ceil(abs(t - s) * 256)))
@@ -262,7 +239,9 @@ def propagator(A, s, t, n_steps=None):
         if t == s:
             return np.eye(np.asarray(A(s)).shape[0])
         _, M, _, _, _ = _affine_steps(Affine(A), s, t, n_steps, (0,))
-        return _compose(M, None)[0]
+        out = np.empty(M.shape)
+        affine_scan(np.array(M), None, np.eye(M.shape[-1]), out)
+        return out[-1]
     A = np.asarray(A, dtype=float)
     if t == s or A.shape[0] == 0:
         return np.eye(A.shape[0])

@@ -28,6 +28,7 @@ import numpy as np
 
 from ._quadrature import IntegralOperator
 from .errors import ConditionError, EpcagError, InvalidParameterError
+from .expressions import raise_at_first_nonfinite
 from .linear import check_smallness
 from .solver import solve_forward
 from .system import state_vector
@@ -157,7 +158,7 @@ def _run_picard(red, side, t0, c, params, initial=None):
     n = k + m
 
     zero = np.zeros((len(ts), n))
-    g_origin = red.g(ts, zero, zero)
+    g_origin = raise_at_first_nonfinite(red.g, red.g(ts, zero, zero), ts, zero, zero)
     worst0 = float(np.max(np.abs(g_origin))) if n else 0.0
     if worst0 > params.tol:
         raise ConditionError(

@@ -20,6 +20,7 @@ from .errors import (
     InvalidParameterError,
     OutOfWindowError,
 )
+from .expressions import raise_at_first_nonfinite
 from .integrate import Affine, rk4_final, rk4_segment
 from .linear import check_backward_uniqueness
 from .system import state_vector
@@ -173,10 +174,7 @@ def _forcing(spec, w):
     def g(ts):
         out = spec.eval_f(ts.reshape((-1,) + (1,) * (w.ndim - 1)), w, w)
         out = np.broadcast_to(out, ts.shape + w.shape)
-        finite = np.isfinite(out).reshape(len(ts), -1).all(axis=1)
-        if not finite.all():
-            spec.eval_f(ts[np.argmin(finite)], w, w)
-        return out
+        return raise_at_first_nonfinite(lambda t: spec.eval_f(t, w, w), out, ts)
 
     return g
 

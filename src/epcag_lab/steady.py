@@ -28,6 +28,7 @@ import numpy as np
 
 from ._quadrature import IntegralOperator
 from .errors import ConditionError, InvalidParameterError
+from .expressions import raise_at_first_nonfinite
 
 __all__ = [
     "SteadyParams",
@@ -88,7 +89,8 @@ def _check_h_bound(red, h0):
     lo, hi = red.spec.grid.window
     ts = np.linspace(lo, hi, 64)
     zero = np.zeros((64, red.n))
-    worst = float(np.max(np.linalg.norm(red.g(ts, zero, zero), axis=1)))
+    g_origin = raise_at_first_nonfinite(red.g, red.g(ts, zero, zero), ts, zero, zero)
+    worst = float(np.max(np.linalg.norm(g_origin, axis=1)))
     if worst > h0 * (1.0 + 1e-9) + 1e-9:
         raise ConditionError(
             f"sampled ||g(t,0,0)|| = {worst:.6g} exceeds the declared bound "

@@ -24,8 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, EvaluationError, InvalidParameterError
-from .expressions import parse_expression
+from .expressions import parse_expression, raise_at_first_nonfinite
 from .grid import ThetaGrid, make_explicit_grid, make_periodic_grid, make_uniform_grid
+from .integrate import sample_A
 
 __all__ = [
     "SystemSpec",
@@ -68,9 +69,7 @@ class SystemSpec:
         """A(t) as (n, n); for a 1-D array of T times, (T, n, n)."""
         if np.ndim(t) == 0:
             return np.asarray(self.A(t), dtype=float).reshape(self.n, self.n)
-        if getattr(self.A, "takes_time_arrays", False):
-            return np.asarray(self.A(t), dtype=float).reshape(-1, self.n, self.n)
-        return np.stack([self.eval_A(tau) for tau in t])
+        return sample_A(self.A, t).reshape(-1, self.n, self.n)
 
     eval_A.takes_time_arrays = True
 
@@ -223,10 +222,7 @@ def _build_matrix_eval(entries, n):
         mat = np.zeros(t.shape + (n, n))
         for (r, c), tree in entries.items():
             mat[..., r, c] = tree.eval({"t": t})
-        if t.ndim and not np.all(np.isfinite(mat)):
-            # an element-wise domain error gave NaN: evaluate its time alone
-            A(t[np.argmin(np.isfinite(mat).all(axis=(1, 2)))])
-        return mat
+        return raise_at_first_nonfinite(A, mat, t) if t.ndim else mat
 
     A.takes_time_arrays = True
     return A, None

@@ -98,6 +98,25 @@ def test_simulate_domain_error_of_the_state_is_config_error(tmp_path, capsys):
     assert "division by zero at line 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("f1, argv, message", [
+    # g(t, 0, 0) is already undefined: the bound check on the mesh raises
+    ("0.01/w1", ["bounded", "--window", "0", "3"], "division by zero at line 5, column 10"),
+    # g(t, 0, 0) = 0, but the first sweep from c = -0.1 leaves the domain
+    ("0.01*log(1 + 20*w1)", ["manifold", "--c=-0.1"],
+     "log of non-positive value at line 5, column 11"),
+], ids=["bounded-origin", "manifold-sweep"])
+def test_domain_error_on_the_mesh_names_its_position(tmp_path, capsys, f1, argv, message):
+    # the integrand is evaluated on arrays of mesh times; its domain error
+    # still raises with its position instead of ending in NaN sweeps
+    cfg = tmp_path / "dom.cfg"
+    cfg.write_text(CONFIG.replace("f1 = 0.5 + 0.1*w1", f"f1 = {f1}"))
+    code = run([argv[0], str(cfg), *argv[1:], "-o", str(tmp_path / "out"), "--stamp", "T"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "no convergence" not in err
+
+
 def test_backcontinue_no_preimage_exit_code(tmp_path):
     code = run(["backcontinue", "--problem", "paper-example-1", "--t0", "1",
                 "--x0", "6", "--t-target", "0", "-o", str(tmp_path),
