@@ -15,7 +15,6 @@ from .errors import (
     IntegrationFailureError,
     InvalidParameterError,
     NoDichotomyError,
-    NoPreimageError,
     OutOfWindowError,
     UnsupportedSystemError,
 )
@@ -63,7 +62,6 @@ from .system import (
     SystemSpec,
     estimate_lipschitz,
     estimate_mu,
-    eval_f,
     get_problem,
     parse_system,
 )

@@ -96,7 +96,8 @@ def build_mesh(grid, lo, hi, substeps=64):
     """Mesh over [lo, hi] where lo must be a grid knot.
 
     hi may fall inside a knot interval; the partial interval gets its own
-    even sub-step count at comparable resolution.
+    even sub-step count at comparable resolution.  The caller keeps
+    [lo, hi] inside the grid's working window.
     """
     substeps = int(substeps)
     if substeps % 2:
@@ -107,12 +108,13 @@ def build_mesh(grid, lo, hi, substeps=64):
     blocks = []
     cur = lo
     pos = 0
+    i = grid.interval_index(lo)
+    knot_start = grid.knot(i)
     while cur < hi - 1e-12 * (1.0 + abs(hi)):
-        i = grid.interval_index(cur)
         knot_end = grid.knot(i + 1)
         b = min(knot_end, hi)
         span = b - cur
-        ns = max(2, int(np.ceil(substeps * span / (knot_end - grid.knot(i)))))
+        ns = max(2, int(np.ceil(substeps * span / (knot_end - knot_start))))
         if ns % 2:
             ns += 1
         h = span / ns
@@ -121,7 +123,8 @@ def build_mesh(grid, lo, hi, substeps=64):
         ts_parts.append(seg)
         blocks.append((pos, ns, h))
         pos += ns
-        cur = b
+        cur, knot_start = b, knot_end
+        i += 1
     if not ts_parts:
         raise InvalidParameterError("empty mesh: hi must exceed lo")
     ts = np.concatenate([[lo]] + ts_parts)

@@ -358,7 +358,9 @@ def cmd_verify(args):
         unknown = sorted(only - {num for num, _name, _fn in acceptance.CRITERIA})
         if unknown:
             raise ConfigError(f"--only: no criterion {', '.join(map(str, unknown))}")
-    results = acceptance.run_all(seed=_seed(args), only=only, echo=print)
+    # the timed lines carry wall-clock time, so they go to stderr
+    echo = lambda line: print(line, file=sys.stderr)
+    results = acceptance.run_all(seed=_seed(args), only=only, echo=echo)
     payload = {
         "all_passed": all(r.passed for r in results),
         "criteria": [
@@ -370,8 +372,8 @@ def cmd_verify(args):
     emit_report(_outdir(args), "verify", "registry", payload,
                 params=vars_of(args), seed=_seed(args), stamp=args.stamp)
     total = sum(r.elapsed for r in results)
-    print(f"{sum(r.passed for r in results)}/{len(results)} criteria passed "
-          f"in {total:.1f}s")
+    echo(f"{sum(r.passed for r in results)}/{len(results)} criteria passed "
+         f"in {total:.1f}s")
     return EXIT_OK if payload["all_passed"] else EXIT_CONDITION
 
 

@@ -66,11 +66,3 @@ class ConvergenceError(EpcagError):
 class ConditionError(EpcagError):
     """A structural hypothesis check failed (zero nonlinearity at origin,
     contraction condition, periodicity of coefficients or grid)."""
-
-
-class NoPreimageError(EpcagError):
-    """Backward continuation died: no preimage on some interval."""
-
-    def __init__(self, message, interval=None):
-        self.interval = interval
-        super().__init__(message)

@@ -224,16 +224,12 @@ class ExpressionTree:
     Values may be scalars or numpy arrays; evaluation broadcasts.
     """
 
-    def __init__(self, source, root, variables):
+    def __init__(self, source, root):
         self.source = source
         self.root = root
-        self.declared = tuple(variables)
         used = set()
         _free_vars(root, used)
         self.variables = frozenset(used)
-
-    def __call__(self, **env):
-        return self.eval(env)
 
     def eval(self, env):
         missing = self.variables - env.keys()
@@ -257,4 +253,4 @@ def parse_expression(text, variables, line=1, column=1):
     tail = parser.peek()
     if tail[0] != "end":
         parser.fail(f"unexpected {tail[1]!r} after expression", tail)
-    return ExpressionTree(text, root, variables)
+    return ExpressionTree(text, root)

@@ -101,18 +101,12 @@ class ThetaGrid:
             return self.pattern[i % p] + (i // p) * obar
         raise OutOfWindowError(f"knot index {i} outside represented range")
 
-    def knot_indices_between(self, a, b):
-        """Global indices of knots with a <= theta_i <= b."""
-        lo = np.searchsorted(self.knots, a, side="left")
-        hi = np.searchsorted(self.knots, b, side="right")
-        return np.arange(lo, hi) + self.base_index
-
-    def nearest_knot_index(self, t, tol=1e-9):
-        """Global index of the knot equal to t within tol, else None."""
+    def nearest_knot_index(self, t):
+        """Global index of the knot equal to t within 1e-9 relative, else None."""
         if not math.isfinite(t):
             return None  # the relative tolerance would be infinite
         pos = int(np.argmin(np.abs(self.knots - t)))
-        if abs(self.knots[pos] - t) <= tol * (1.0 + abs(t)):
+        if abs(self.knots[pos] - t) <= 1e-9 * (1.0 + abs(t)):
             return pos + self.base_index
         return None
 

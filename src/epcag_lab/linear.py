@@ -172,7 +172,7 @@ def verify_flow_bounds(spec, pairs=None, n_pairs=200, seed=0):
     )
 
 
-def dichotomy_for_constant_A(A, zero_tol=1e-9):
+def dichotomy_for_constant_A(A):
     """Spectral dichotomy data for a constant diagonalizable matrix.
 
     P projects onto the span of eigenvectors with negative real part,
@@ -184,10 +184,9 @@ def dichotomy_for_constant_A(A, zero_tol=1e-9):
         raise InvalidParameterError("A must be a square matrix")
     vals, vecs = np.linalg.eig(A)
     re = vals.real
-    if np.any(np.abs(re) < zero_tol):
-        raise NoDichotomyError(
-            f"eigenvalue with |Re| < {zero_tol:g}: {vals[np.abs(re) < zero_tol]}"
-        )
+    central = np.abs(re) < 1e-9
+    if np.any(central):
+        raise NoDichotomyError(f"eigenvalue with |Re| < 1e-09: {vals[central]}")
     stable = re < 0
     sel = np.where(stable, 1.0, 0.0)
     Vinv = np.linalg.inv(vecs)

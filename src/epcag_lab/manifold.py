@@ -21,7 +21,6 @@ the sweeps the operator yields.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,9 +291,8 @@ def jacobian_F(manifold, t0, c, max_iter=120):
 class ManifoldFn:
     """Memoized evaluator c -> F(t0, c) backed by the iteration engine.
 
-    Evaluations for distinct keys are independent; the memo tolerates
-    concurrent inserts.  Keys are (t0 snapped to its knot, c rounded to
-    1e-12).
+    Evaluations for distinct keys are independent.  Keys are (t0 snapped
+    to its knot, c rounded to 1e-12).
     """
 
     def __init__(self, red, side="stable", params=None):
@@ -305,7 +303,6 @@ class ManifoldFn:
         self.params = params or ManifoldParams()
         self._memo = {}
         self._jac_memo = {}
-        self._lock = threading.Lock()
 
     def _key(self, t0, c):
         t0 = _snap_to_knot(self.red.spec.grid, t0)
@@ -314,28 +311,18 @@ class ManifoldFn:
 
     def evaluate(self, t0, c):
         key = self._key(t0, c)
-        with self._lock:
-            hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        res = _run_picard(self.red, self.side, t0, c, self.params)
-        with self._lock:
-            self._memo.setdefault(key, res)
-        return res
+        if key not in self._memo:
+            self._memo[key] = _run_picard(self.red, self.side, t0, c, self.params)
+        return self._memo[key]
 
     def value(self, t0, c):
         return self.evaluate(t0, c).f_value
 
     def jacobian(self, t0, c):
         key = self._key(t0, c)
-        with self._lock:
-            hit = self._jac_memo.get(key)
-        if hit is not None:
-            return hit
-        J = jacobian_F(self, t0, c)
-        with self._lock:
-            self._jac_memo.setdefault(key, J)
-        return J
+        if key not in self._jac_memo:
+            self._jac_memo[key] = jacobian_F(self, t0, c)
+        return self._jac_memo[key]
 
 
 @dataclass
@@ -345,7 +332,7 @@ class InvarianceReport:
     deviations: np.ndarray
 
 
-def invariance_check(manifold, t0, c, T, substeps=64):
+def invariance_check(manifold, t0, c, T):
     """Forward-integrate from the manifold and re-evaluate F at each knot.
 
     Small max deviation ||v(t) - F(t, u(t))|| certifies numerically that
@@ -357,7 +344,7 @@ def invariance_check(manifold, t0, c, T, substeps=64):
     res = manifold.evaluate(t0, c)
     rspec = red.reduced_spec()
     z0 = np.concatenate([res.c, res.f_value])
-    path = solve_forward(rspec, res.t0, z0, res.t0 + T, substeps=substeps)
+    path = solve_forward(rspec, res.t0, z0, res.t0 + T)
     tk, zk = path.at_knots()
     devs = []
     for tau, zval in zip(tk, zk):
@@ -382,8 +369,7 @@ class GrowthReport:
     overflow_divergence: bool
 
 
-def off_manifold_diagnose(red, t0, z0, T, params=None, manifold=None,
-                          substeps=64, guard=1e12):
+def off_manifold_diagnose(red, t0, z0, T, params=None, manifold=None):
     """Growth diagnosis for a start off the contracting-side manifold.
 
     Reports the first knot where the cone ||u|| <= K^2 ||v|| is entered,
@@ -392,8 +378,8 @@ def off_manifold_diagnose(red, t0, z0, T, params=None, manifold=None,
         ||v(t)|| >= (||v0||/K) * exp((sigma - K*L*(1+K^2)*(1+e^{alpha*theta})) (t-t0))
 
     holds at sampled knots after entry, and the growth exponent fitted to
-    log||v|| by least squares.  Overflow of the forward solve is reported
-    as confirmed divergence.
+    log||v|| by least squares.  Overflow of the forward solve (past
+    solve_forward's guard 1e12) is reported as confirmed divergence.
     """
     params = params or ManifoldParams()
     K, sigma = red.K, red.sigma
@@ -419,14 +405,14 @@ def off_manifold_diagnose(red, t0, z0, T, params=None, manifold=None,
     overflow = False
     t_hi = t0 + T
     try:
-        path = solve_forward(rspec, t0, z0, t_hi, substeps=substeps, guard=guard)
+        path = solve_forward(rspec, t0, z0, t_hi)
     except EpcagError as exc:
         blow_t = getattr(exc, "t", None)
         if blow_t is None:
             raise
         overflow = True
         t_hi = max(t0 + theta, red.spec.grid.beta(blow_t) - theta)
-        path = solve_forward(rspec, t0, z0, t_hi, substeps=substeps, guard=None)
+        path = solve_forward(rspec, t0, z0, t_hi, guard=None)
 
     tk, zk = path.at_knots()
     u_norms = np.linalg.norm(zk[:, : red.k], axis=1)

@@ -55,10 +55,6 @@ class ReducedSystem:
     def split(self, z):
         return z[..., : self.k], z[..., self.k:]
 
-    def g_split(self, t, z, w):
-        gv = self.g(t, z, w)
-        return gv[..., : self.k], gv[..., self.k:]
-
     def reduced_spec(self):
         """The reduced equations as a simulatable system."""
         n = self.n

@@ -35,9 +35,6 @@ __all__ = [
     "back_continue",
 ]
 
-_KNOT_TOL = 1e-9
-
-
 @dataclass
 class SolutionPath:
     """Piecewise-smooth trajectory with dense sub-step storage.
@@ -199,7 +196,7 @@ def solve_forward(spec, t0, y0, t_end, substeps=64, w0=None, guard=1e12):
         raise InvalidParameterError("t_end must be >= t0; use back_continue for t_end < t0")
     y0 = state_vector(y0, spec.n, "y0")
 
-    knot_idx = grid.nearest_knot_index(t0, _KNOT_TOL)
+    knot_idx = grid.nearest_knot_index(t0)
     if knot_idx is not None:
         t0 = grid.knot(knot_idx)
         w = y0.copy()
@@ -391,15 +388,15 @@ def _polish_root(phi, x_target, x, rq, steps=10, fd_scale=1e-6):
 
 
 def back_continue_interval(spec, i, t_target, x_target, substeps=64,
-                           root_tol=1e-9, n_starts=17, max_iter=50,
-                           cluster_scale=1e-5, max_halvings=8):
+                           root_tol=1e-9):
     """All preimages at theta_i of (t_target, x_target) in its interval.
 
     Finds every x with ||phi(x) - x_target|| below the root tolerance,
     where phi integrates the frozen-argument equation from (theta_i, x)
-    to t_target.  Newton runs from a lattice of ``n_starts`` points per
-    coordinate spanning [-R, R], R = max(10, 10*||x_target||).  Distinct
-    roots are separated by the clustering radius; an empty result is
+    to t_target.  Damped Newton (at most 50 iterations of 8 halvings each)
+    runs from a lattice of 17 points per coordinate spanning [-R, R],
+    R = max(10, 10*||x_target||).  Distinct roots are separated by the
+    clustering radius 1e-5*(1 + ||x||); an empty result is
     reported as classification "none" with the search budget flagged as
     exhausted (absence of roots is not proved).
     """
@@ -411,20 +408,20 @@ def back_continue_interval(spec, i, t_target, x_target, substeps=64,
         )
     x_target = state_vector(x_target, spec.n, "x_target")
     R = max(10.0, 10.0 * float(np.linalg.norm(x_target)))
-    axes = [np.linspace(-R, R, n_starts)] * spec.n
+    axes = [np.linspace(-R, R, 17)] * spec.n
     mesh = np.meshgrid(*axes, indexing="ij")
     starts = np.stack([m.ravel() for m in mesh], axis=1)
     tol_abs = root_tol * (1.0 + float(np.linalg.norm(x_target)))
 
     phi = lambda X: _phi_batch(spec, i, X, t_target, substeps)
-    found = _newton_roots(phi, x_target, starts, tol_abs, max_iter, max_halvings)
+    found = _newton_roots(phi, x_target, starts, tol_abs, 50, 8)
 
     def dedupe(items):
         # smallest-norm first, greedy by the clustering radius
         items = sorted(items, key=lambda xr: (np.linalg.norm(xr[0]), tuple(xr[0])))
         kept = []
         for x, rq in items:
-            radius = cluster_scale * (1.0 + np.linalg.norm(x))
+            radius = 1e-5 * (1.0 + np.linalg.norm(x))
             if all(np.linalg.norm(x - p) > radius for p, _ in kept):
                 kept.append((x, rq))
         return kept
@@ -442,8 +439,7 @@ def back_continue_interval(spec, i, t_target, x_target, substeps=64,
     )
 
 
-def back_continue(spec, t0, x0, t_target, substeps=64, root_tol=1e-9,
-                  n_starts=17):
+def back_continue(spec, t0, x0, t_target, substeps=64, root_tol=1e-9):
     """Chain interval preimages from (t0, x0) down past t_target.
 
     When the backward-uniqueness inequality holds for the system's
@@ -465,16 +461,14 @@ def back_continue(spec, t0, x0, t_target, substeps=64, root_tol=1e-9,
     steps = []
     cur_t, cur_x = float(t0), x0
     while cur_t > t_target:
-        knot_idx = grid.nearest_knot_index(cur_t, _KNOT_TOL)
+        knot_idx = grid.nearest_knot_index(cur_t)
         if knot_idx is not None:
             i = knot_idx - 1
             cur_t = grid.knot(knot_idx)
         else:
             i = grid.interval_index(cur_t)
-        ps = back_continue_interval(
-            spec, i, cur_t, cur_x, substeps=substeps, root_tol=root_tol,
-            n_starts=n_starts,
-        )
+        ps = back_continue_interval(spec, i, cur_t, cur_x, substeps=substeps,
+                                    root_tol=root_tol)
         steps.append(ps)
         if ps.classification == "none":
             return BackwardContinuation(

@@ -46,7 +46,6 @@ class SteadyParams:
     tol: float = 1e-9
     max_iter: int = 200
     substeps: int = 64
-    horizon: float | None = None
 
 
 @dataclass
@@ -128,11 +127,8 @@ def bounded_solution(red, window=None, params=None, probe=True, seed=0,
     H = red.sup_u * spec.h0
     _check_h_bound(red, max(spec.h0, 1e-300))
 
-    if params.horizon is not None:
-        horizon = params.horizon
-    else:
-        scale = max(K * max(H, params.tol) / sigma, 1.0)
-        horizon = math.log(scale / params.tol) / sigma
+    scale = max(K * max(H, params.tol) / sigma, 1.0)
+    horizon = math.log(scale / params.tol) / sigma
     theta = spec.grid.gap_bound
     horizon = theta * math.ceil(max(horizon, 2.0 * theta) / theta)
 
@@ -181,13 +177,13 @@ def bounded_solution(red, window=None, params=None, probe=True, seed=0,
     )
 
 
-def periodicity_params(omega, omega_bar, tol=1e-9):
+def periodicity_params(omega, omega_bar):
     """Coprime (k, m) with omega/omega_bar = k/m, detected by continued
     fractions with denominators up to 10**6.
 
     Floating-point periods are never exactly rational, so the ratio is
     accepted when the best bounded-denominator approximation lands within
-    ``tol``; ratios needing a larger denominator raise.
+    1e-9 relative; ratios needing a larger denominator raise.
     """
     if omega <= 0 or omega_bar <= 0:
         raise InvalidParameterError("periods must be positive")
@@ -195,9 +191,9 @@ def periodicity_params(omega, omega_bar, tol=1e-9):
     frac = Fraction(ratio).limit_denominator(10 ** 6)
     if frac.numerator <= 0:
         raise InvalidParameterError(f"ratio {ratio:g} has no positive rational approximation")
-    if abs(ratio - float(frac)) > tol * max(1.0, ratio):
+    if abs(ratio - float(frac)) > 1e-9 * max(1.0, ratio):
         raise InvalidParameterError(
-            f"omega/omega_bar = {ratio!r} is not rational within {tol:g} for "
+            f"omega/omega_bar = {ratio!r} is not rational within 1e-09 for "
             "denominators up to 1000000"
         )
     return PeriodicityParams(

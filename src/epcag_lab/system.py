@@ -32,7 +32,6 @@ __all__ = [
     "SystemSpec",
     "parse_system",
     "parse_config",
-    "eval_f",
     "estimate_lipschitz",
     "estimate_mu",
     "get_problem",
@@ -93,11 +92,6 @@ class SystemSpec:
         if self.lip_estimated:
             tags.append("lip")
         return tags
-
-
-def eval_f(spec, t, y, w):
-    """Value of the nonlinearity f(t, y, w)."""
-    return spec.eval_f(t, y, w)
 
 
 def state_vector(x, n, name):
@@ -238,10 +232,10 @@ def _build_f_eval(trees, n):
         for k in range(n):
             env[f"y{k + 1}"] = y[..., k]
             env[f"w{k + 1}"] = w[..., k]
-        shape = np.broadcast(env["t"], y[..., 0]).shape
-        cols = [np.broadcast_to(np.asarray(tree.eval(env), dtype=float), shape)
-                for tree in trees]
-        return np.stack(cols, axis=-1)
+        out = np.empty(np.broadcast(env["t"], y[..., 0]).shape + (n,))
+        for k, tree in enumerate(trees):
+            out[..., k] = tree.eval(env)
+        return out
 
     return f
 
@@ -386,22 +380,22 @@ def _system_from_sections(sections):
 # sampled constant estimation
 # ---------------------------------------------------------------------------
 
-def estimate_mu(spec, samples=200):
-    """Sampled lower bound on sup||A(t)|| over the working window."""
+def estimate_mu(spec):
+    """Sampled lower bound on sup||A(t)|| over the working window (200 times)."""
     lo, hi = spec.grid.window
-    ts = np.linspace(lo, hi, samples)
+    ts = np.linspace(lo, hi, 200)
     return float(max(np.linalg.norm(spec.eval_A(t), 2) for t in ts))
 
 
-def estimate_lipschitz(spec, box, samples=200, seed=0, t_samples=7):
+def estimate_lipschitz(spec, box, samples=200):
     """Sampled lower bound on the joint Lipschitz constant of f in (y, w).
 
     ``box`` is a per-coordinate half-width: arguments range over
-    |y_k|, |w_k| <= box.  The sample set is deterministic given the seed
-    and combines random pairs with axis-aligned probes at a dyadic ladder
-    of scales, including short-separation pairs near the box boundary so
-    derivative-attained suprema are approached.  Reported as a lower
-    bound on the true constant.
+    |y_k|, |w_k| <= box.  The sample set is deterministic (seed 0, 7 times
+    across the window) and combines random pairs with axis-aligned probes
+    at a dyadic ladder of scales, including short-separation pairs near
+    the box boundary so derivative-attained suprema are approached.
+    Reported as a lower bound on the true constant.
     """
     box = float(box)
     if box <= 0:
@@ -409,9 +403,9 @@ def estimate_lipschitz(spec, box, samples=200, seed=0, t_samples=7):
     if samples < 2:
         raise InvalidParameterError("need at least two samples")
     n = spec.n
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     lo, hi = spec.grid.window
-    ts = np.linspace(lo, hi, t_samples)
+    ts = np.linspace(lo, hi, 7)
 
     pairs = []  # (y1, w1, y2, w2)
     scales = [1.0, 0.5, 0.25, 0.125]

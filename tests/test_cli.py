@@ -261,11 +261,24 @@ def test_verify_subset(tmp_path):
     assert [c["number"] for c in payload["results"]["criteria"]] == [1, 5]
 
 
+def test_verify_prints_timed_lines_to_stderr(tmp_path, capsys):
+    code = run(["verify", "--only", "1,5", "-o", str(tmp_path), "--stamp", "T"])
+    assert code == 0
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    passes = [line for line in err if line.startswith("[PASS] criterion")]
+    assert len(passes) == 2 and all(line.endswith("s)") for line in passes)
+    assert err[-1].startswith("2/2 criteria passed in ")
+    assert "[PASS]" not in captured.out and "criteria passed" not in captured.out
+    assert (tmp_path / "verify-registry-T.json").exists()
+
+
 @pytest.mark.parametrize("only", ["99", "1,99", "0", "abc", "1.5"])
 def test_verify_unknown_criterion_is_config_error(tmp_path, only, capsys):
     code = run(["verify", "--only", only, "-o", str(tmp_path), "--stamp", "T"])
     assert code == 1
-    assert "criteria passed" not in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "criteria passed" not in captured.out + captured.err
     assert not list(tmp_path.iterdir())
 
 

@@ -1,5 +1,4 @@
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -271,13 +270,13 @@ def test_outside_contraction_regime_label():
     assert res.converged
 
 
-def test_memoized_concurrent_evaluations(red_small):
+def test_memoized_evaluations(red_small):
     mf = ManifoldFn(red_small, "stable")
     cs = [[0.1 * j] for j in range(1, 7)]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        vals = list(pool.map(lambda c: mf.value(0.0, c), cs))
-    for c, v in zip(cs, vals):
-        assert np.array_equal(mf.value(0.0, c), v)
+    results = [mf.evaluate(0.0, c) for c in cs]
+    for c, res in zip(cs, results):
+        assert mf.evaluate(0.0, c) is res
+        assert np.array_equal(mf.value(0.0, c), res.f_value)
     assert len(mf._memo) == len(cs)
 
 

@@ -36,7 +36,7 @@ def test_identity_route_diag():
     # g is the coordinate split of f
     z = np.array([0.3, -0.7])
     w = np.array([0.1, 0.2])
-    gp, gm = red.g_split(0.0, z, w)
+    gp, gm = red.split(red.g(0.0, z, w))
     fv = spec.eval_f(0.0, z, w)
     assert gp[0] == fv[0] and gm[0] == fv[1]
 

@@ -356,7 +356,7 @@ def test_back_continue_nonsymmetric_A_batched_jacobian():
     spec = _nonsymmetric_spec()
     x_true = np.array([0.4, -0.3])
     target = shooting_map(spec, 1, x_true)
-    ps = back_continue_interval(spec, 1, 2.0, target, n_starts=9)
+    ps = back_continue_interval(spec, 1, 2.0, target)
     assert ps.classification != "none"
     tol_abs = 1e-9 * (1.0 + np.linalg.norm(target))
     for p in ps.preimages:

@@ -6,7 +6,6 @@ from epcag_lab.linear import fundamental_matrix
 from epcag_lab.system import (
     estimate_lipschitz,
     estimate_mu,
-    eval_f,
     get_problem,
     parse_system,
 )
@@ -37,13 +36,13 @@ def test_parse_full_rhs_expression():
     rng = np.random.default_rng(0)
     for _ in range(20):
         y, w = rng.uniform(-2, 2, 2)
-        assert eval_f(spec, 0.5, [y], [w])[0] == pytest.approx(2 * y - w ** 2, rel=1e-12)
+        assert spec.eval_f(0.5, [y], [w])[0] == pytest.approx(2 * y - w ** 2, rel=1e-12)
 
 
 def test_parse_zero_nonlinearity():
     cfg = EX1_CONFIG.replace("f1 = -w1^2", "f1 = 0")
     spec = parse_system(cfg)
-    assert eval_f(spec, 0.0, [0.0], [0.0])[0] == 0.0
+    assert spec.eval_f(0.0, [0.0], [0.0])[0] == 0.0
 
 
 def test_parse_syntax_error_carries_position():
@@ -138,18 +137,18 @@ def test_grid_sections():
 
 def test_eval_f_paper_example():
     spec = get_problem("paper-example-1")
-    assert eval_f(spec, 0.0, [3.0], [2.0])[0] == -4.0
+    assert spec.eval_f(0.0, [3.0], [2.0])[0] == -4.0
     # full right-hand side reproduces 2x - x([t])^2 at sampled points
     rng = np.random.default_rng(1)
     for _ in range(50):
         x, xb = rng.uniform(-2, 2, 2)
-        rhs = spec.eval_A(0.0)[0, 0] * x + eval_f(spec, 0.0, [x], [xb])[0]
+        rhs = spec.eval_A(0.0)[0, 0] * x + spec.eval_f(0.0, [x], [xb])[0]
         assert rhs == pytest.approx(2 * x - xb ** 2, rel=1e-14)
 
 
 def test_eval_f_sin_at_zero():
     spec = get_problem("diag-dichotomy", coupling=0.1)
-    assert np.all(eval_f(spec, 0.0, [0.5, 0.5], [0.0, 0.0]) == 0.0)
+    assert np.all(spec.eval_f(0.0, [0.5, 0.5], [0.0, 0.0]) == 0.0)
 
 
 def test_estimate_lipschitz_linear():
