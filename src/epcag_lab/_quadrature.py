@@ -31,10 +31,21 @@ the negative step -h: its panels go from t_{q+2} to t_q, P_j = B[q] B[q+1],
 and one function builds the Simpson terms of both directions.  The
 panels are taken ``_SCAN_BLOCK`` at a time.  A block's panel terms are
 built with batched matrix products over strided views of the mesh
-arrays, its affine maps are composed by the doubling (Hillis-Steele)
-prefix scan ``integrate.affine_scan``, and the block starts from the
+arrays, its affine recursion is solved by the doubling (Hillis-Steele)
+prefix scan of ``integrate.ScanPlan``, and the block starts from the
 last value of the block before.  The odd mesh points then follow from
 their panel's even start in one vector step.
+
+Only the c_j depend on g.  A ``SweepPlan`` holds everything else one
+direction's sweeps share: the panel maps, the signed sub-steps, the
+closing panels and, per block, the scan's plan built from the P_j (the
+products the scan multiplies c by at each level, and the composed maps
+that carry the block's start value).  ``IntegralOperator`` builds the
+plan of each direction at its first sweep and hands it to every later
+one, so a Picard or steady-state sweep forms no propagator product.  A
+scan level whose products are bitwise equal is stored as one matrix;
+on a uniform mesh with a constant block nearly every level is, so the
+plans stay smaller than the sub-step propagators they are built from.
 
 The composed maps are products of consecutive P_j, i.e. propagators
 Prop(t_b, t_a) of the contracting block in its contracting direction:
@@ -56,9 +67,9 @@ import numpy as np
 
 from .errors import ConvergenceError, InvalidParameterError
 from .expressions import raise_at_first_nonfinite
-from .integrate import affine_scan, propagator
+from .integrate import ScanPlan, propagator
 
-__all__ = ["QuadMesh", "IntegralOperator", "build_mesh", "block_propagators",
+__all__ = ["QuadMesh", "IntegralOperator", "SweepPlan", "build_mesh", "block_propagators",
            "accumulate_forward", "accumulate_backward"]
 
 # panels per block of the affine scan; bounds the size of its temporaries
@@ -171,55 +182,82 @@ def _columns(a):
     return a[..., None] if a.ndim == 2 else a
 
 
-def _accumulate(E0, E1, Eh, gvals, mesh, init, g_close, top):
-    """The panel recursion up the mesh, or down it from the top if ``top``.
+class SweepPlan:
+    """What every sweep of one direction over one mesh shares.
+
+    Holds the panel maps in scan order, up the mesh or down it from the
+    top if ``top`` (views of F and B: E0[j] and E1[j] propagate panel j's
+    near point to its midpoint and its midpoint to its far point, Eh[j]
+    far to mid), the signed sub-steps, the closing panels, and per
+    ``_SCAN_BLOCK`` panels the ``integrate.ScanPlan`` of the panel maps
+    E1[j] E0[j]: the propagator products the scan multiplies the Simpson
+    terms by.  None of it depends on g, so a sweep with the plan only
+    builds the Simpson terms and runs the b half of each block's scan.
+    """
+
+    def __init__(self, F, B, mesh, top):
+        self.top = top
+        if top:
+            self.E0, self.E1, self.Eh = B[1::2][::-1], B[0::2][::-1], F[0::2][::-1]
+        else:
+            self.E0, self.E1, self.Eh = F[0::2], F[1::2], B[1::2]
+        self.blocks = []
+        if F.shape[-1] == 0:
+            return  # a sweep of an empty block only returns its start value
+        step = -1 if top else 1
+        order = slice(None, None, step)
+        h = step * np.repeat([h for _start, _ns, h in mesh.blocks],
+                             [ns // 2 for _start, ns, _h in mesh.blocks])[order, None, None]
+        # the knot interval each panel closes, in scan order (-1 if none)
+        closes = np.full(len(h), -1)
+        closes[mesh.block_ends // 2 - 1] = np.arange(len(mesh.blocks))
+        closes = closes[order]
+        for lo in range(0, len(h), _SCAN_BLOCK):
+            sl = slice(lo, lo + _SCAN_BLOCK)
+            hit = np.flatnonzero(closes[sl] >= 0)
+            self.blocks.append((sl, h[sl] / 12.0, h[sl] / 3.0, hit, closes[sl][hit],
+                                ScanPlan(self.E1[sl] @ self.E0[sl])))
+
+
+def _accumulate(plan, gvals, size, init, g_close):
+    """The panel recursion of ``plan``'s direction over a mesh of ``size``
+    points.
 
     In scan order panel j runs from its near point through its midpoint
-    to its far point with sub-step h (-h down the mesh): E0[j] and E1[j]
-    propagate near to mid and mid to far, Eh[j] far to mid.  Both
-    directions build the same Simpson terms; only the views of the mesh
-    arrays are reversed.  ``g_close`` goes into each closing panel's upper
-    point.
+    to its far point with sub-step h (-h down the mesh).  Both directions
+    build the same Simpson terms; only the views of the mesh arrays are
+    reversed.  ``g_close`` goes into each closing panel's upper point.
     """
-    out = np.empty((mesh.size,) + np.shape(init))
-    step = -1 if top else 1
-    order = slice(None, None, step)
+    out = np.empty((size,) + np.shape(init))
+    order = slice(None, None, -1 if plan.top else 1)
     out[order][0] = init
     if np.shape(init)[0] == 0:
         return out
     x, g = _columns(out), _columns(gvals)
-    # per panel in scan order: the near, middle and far mesh values, g at
-    # the panel's lower, middle and upper points, the signed sub-step and
-    # the knot interval the panel closes (-1 if none)
+    # per panel in scan order: the near, middle and far mesh values and g
+    # at the panel's lower, middle and upper points
     near, far = (x[0:-1:2][order], x[2::2][order])[order]
     mids = x[1::2][order]
     g_lo, g_mid, g_up = g[0:-1:2][order], g[1::2][order], g[2::2][order]
-    h = step * np.repeat([h for _start, _ns, h in mesh.blocks],
-                         [ns // 2 for _start, ns, _h in mesh.blocks])[order, None, None]
-    closes = np.full(len(h), -1)
-    closes[mesh.block_ends // 2 - 1] = np.arange(len(mesh.blocks))
-    closes = closes[order]
     if g_close is not None:
         g_close = _columns(g_close)
-    for lo in range(0, len(h), _SCAN_BLOCK):
-        sl = slice(lo, lo + _SCAN_BLOCK)
+    for sl, h12, h3, hit, closes, scan in plan.blocks:
         g_upper = g_up[sl]
-        hit = closes[sl] >= 0
-        if g_close is not None and hit.any():
+        if g_close is not None and len(hit):
             g_upper = g_upper.copy()
-            g_upper[hit] = g_close[closes[sl][hit]]
+            g_upper[hit] = g_close[closes]
         g_near, g_far = (g_lo[sl], g_upper)[order]
-        e0, e1 = E0[sl], E1[sl]
+        e0, e1 = plan.E0[sl], plan.E1[sl]
         # half panel [near, mid] and full panel [near, far] by Simpson
         psi0 = e0 @ g_near
-        half = (h[sl] / 12.0) * (5.0 * psi0 + 8.0 * g_mid[sl] - Eh[sl] @ g_far)
-        full = (h[sl] / 3.0) * (e1 @ psi0 + 4.0 * (e1 @ g_mid[sl]) + g_far)
-        affine_scan(e1 @ e0, full, near[sl.start], far[sl])
+        half = h12 * (5.0 * psi0 + 8.0 * g_mid[sl] - plan.Eh[sl] @ g_far)
+        full = h3 * (e1 @ psi0 + 4.0 * (e1 @ g_mid[sl]) + g_far)
+        scan.apply(full, near[sl.start], far[sl])
         mids[sl] = e0 @ near[sl] + half
     return out
 
 
-def accumulate_forward(F, B, gvals, mesh, init, g_close=None):
+def accumulate_forward(F, B, gvals, mesh, init, g_close=None, plan=None):
     """Values of u(t) = Prop(t, t0) init + int_{t0}^t Prop(t, s) g(s) ds.
 
     ``gvals`` holds g at every mesh point with shape (M, d) or (M, d, r);
@@ -227,19 +265,26 @@ def accumulate_forward(F, B, gvals, mesh, init, g_close=None):
     at the closing point of interval block b (defaults to the pointwise
     value).  Forward panel recursion evaluated by the blocked affine
     scan; all factors stay bounded in the contracting direction.
+    ``plan`` is the ``SweepPlan(F, B, mesh, top=False)`` of earlier
+    sweeps; without it one is built for this call.
     """
-    return _accumulate(F[0::2], F[1::2], B[1::2], gvals, mesh, init, g_close, top=False)
+    if plan is None:
+        plan = SweepPlan(F, B, mesh, top=False)
+    return _accumulate(plan, gvals, mesh.size, init, g_close)
 
 
-def accumulate_backward(F, B, gvals, mesh, init, g_close=None):
+def accumulate_backward(F, B, gvals, mesh, init, g_close=None, plan=None):
     """Values of v(t) = Prop(t, T) init - int_t^T Prop(t, s) g(s) ds.
 
     Backward panel recursion from the mesh top, evaluated by the blocked
     affine scan; Prop(t_j, t_{j+1}) is the backward sub-step propagator
-    B[j], bounded for the expanding block.
+    B[j], bounded for the expanding block.  ``plan`` is the
+    ``SweepPlan(F, B, mesh, top=True)`` of earlier sweeps; without it one
+    is built for this call.
     """
-    return _accumulate(B[1::2][::-1], B[0::2][::-1], F[0::2][::-1], gvals, mesh, init,
-                       g_close, top=True)
+    if plan is None:
+        plan = SweepPlan(F, B, mesh, top=True)
+    return _accumulate(plan, gvals, mesh.size, init, g_close)
 
 
 class IntegralOperator:
@@ -249,7 +294,10 @@ class IntegralOperator:
     ``v`` backward from ``hi`` with the expanding block.  The integrand is
     evaluated at ``points``: every mesh point, then the closing point of
     every knot interval, where the frozen argument takes its left limit.
-    Holds the mesh and the four sub-step propagators ``Fp, Bp, Fm, Bm``.
+    Holds the mesh and the four sub-step propagators ``Fp, Bp, Fm, Bm``,
+    and from its first ``apply`` on the ``SweepPlan`` of each direction,
+    so the propagator products of the scans are formed once for all the
+    sweeps of ``iterate``.
     """
 
     def __init__(self, red, grid, lo, hi, substeps):
@@ -261,6 +309,7 @@ class IntegralOperator:
         self._beta_rows = np.concatenate([mesh.beta_idx, mesh.block_starts])
         self.points = mesh.ts[self._rows]
         self._args = None
+        self._plans = None
 
     def arguments(self, z):
         """(z, z(beta)) at ``points``, from z on the mesh.
@@ -285,9 +334,13 @@ class IntegralOperator:
         ``v0``.  Returns the mesh values of (u, v).
         """
         M, k = self.mesh.size, self.k
+        if self._plans is None:
+            self._plans = (SweepPlan(self.Fp, self.Bp, self.mesh, top=False),
+                           SweepPlan(self.Fm, self.Bm, self.mesh, top=True))
+        plan_u, plan_v = self._plans
         gv, gc = g[:M], g[M:]
-        u = accumulate_forward(self.Fp, self.Bp, gv[:, :k], self.mesh, u0, gc[:, :k])
-        v = accumulate_backward(self.Fm, self.Bm, gv[:, k:], self.mesh, v0, gc[:, k:])
+        u = accumulate_forward(self.Fp, self.Bp, gv[:, :k], self.mesh, u0, gc[:, :k], plan_u)
+        v = accumulate_backward(self.Fm, self.Bm, gv[:, k:], self.mesh, v0, gc[:, k:], plan_v)
         return np.concatenate([u, v], axis=1)
 
     def iterate(self, integrand, z, u0, v0, tol, max_iter, rows=slice(None)):

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import BlowUpError, IntegrationFailureError
 
-__all__ = ["Affine", "rk4_segment", "rk4_final", "propagator", "affine_scan", "sample_A"]
+__all__ = ["Affine", "rk4_segment", "rk4_final", "propagator", "ScanPlan", "affine_scan",
+           "sample_A"]
 
 
 @dataclass(frozen=True)
@@ -112,24 +113,76 @@ def _affine_steps(rhs, t0, t1, n_steps, y_shape):
     return ts, M, c, A_ts, G[0::2]
 
 
+def _doubling(A):
+    """Compose the maps A (n, d, d) in place by the doubling scan.
+
+    A doubling scan (Blelloch 1990, "Prefix sums and their applications")
+    composes n maps in log2(n) levels: at the level of stride s every
+    A_j with j >= s becomes A_j A_{j-s}.  Before each level this yields
+    s and the factors A[s:] of the level, which x_{j+1} = A_j x_j + b_j
+    multiplies b by there (b_j += A_j b_{j-s}); they are valid until the
+    next item.  A ends as the composed maps A_j ... A_0.
+    """
+    s = 1
+    while s < len(A):
+        yield s, A[s:]
+        A[s:] = A[s:] @ A[:-s]
+        s *= 2
+
+
+def _scan_b(levels, A, b, x0, out):
+    """Write x_1..x_n of the scan into ``out``: run ``levels``, the
+    (s, factors) of each level, over b (None is b = 0), then add the
+    composed maps ``A`` applied to x0.  Overwrites b."""
+    # run through even for b = None: a one-pass scan composes A as it goes
+    for s, M in levels:
+        if b is not None:
+            b[s:] += M @ b[:-s]
+    np.matmul(A, x0, out=out)
+    if b is not None:
+        out += b
+
+
+def _stored_level(M):
+    """A copy of the factors ``M`` (k, d, d) of one level: one (d, d)
+    matrix, which the matmul broadcasts, when the k are bitwise equal."""
+    bits = M.reshape(len(M), M[0].size).view(np.uint64)
+    if (bits[-1] == bits[0]).all() and (bits == bits[0]).all():
+        return M[0].copy()
+    return M.copy()
+
+
+class ScanPlan:
+    """The half of the doubling scan of x_{j+1} = A_j x_j + b_j that only
+    depends on the maps A_j.
+
+    Holds the factors of every level of ``_doubling`` and the composed
+    maps A_j ... A_0 of the last, so ``apply`` runs only the b half and
+    the final composed A @ x0, bit for bit as the scan in one pass does.
+    A level whose factors are bitwise equal is held as one (d, d) matrix
+    and broadcast: the maps of a constant coefficient on a uniform mesh
+    repeat exactly, so nearly every level of theirs collapses.  Any other
+    level is held as it is.  ``A`` (n, d, d) is composed in place and kept.
+    """
+
+    def __init__(self, A):
+        self.levels = [(s, _stored_level(M)) for s, M in _doubling(A)]
+        self.A = A
+
+    def apply(self, b, x0, out):
+        """Write x_1..x_n, x_0 = x0, into ``out``; ``b`` and ``out`` are
+        (n, d, r), b = None is b = 0.  Overwrites b."""
+        _scan_b(self.levels, self.A, b, x0, out)
+
+
 def affine_scan(A, b, x0, out):
     """Write x_1..x_n of x_{j+1} = A_j x_j + b_j, x_0 = x0, into ``out``.
 
     ``A`` is (n, d, d), ``b`` and ``out`` are (n, d, r); b = None is
-    b = 0.  A doubling scan (Blelloch 1990, "Prefix sums and their
-    applications") composes the maps in log2(n) vector steps; it
-    overwrites A and b.
+    b = 0.  The scan of a ``ScanPlan`` in one pass: each level's factors
+    multiply b as they are formed, and none is kept.  Overwrites A and b.
     """
-    s = 1
-    while s < len(A):
-        # (A_j, b_j) <- (A_j, b_j) after (A_{j-s}, b_{j-s})
-        if b is not None:
-            b[s:] += A[s:] @ b[:-s]
-        A[s:] = A[s:] @ A[:-s]
-        s *= 2
-    np.matmul(A, x0, out=out)
-    if b is not None:
-        out += b
+    _scan_b(_doubling(A), A, b, x0, out)
 
 
 def _affine_trajectory(rhs, t0, y, t1, n_steps):

@@ -7,6 +7,8 @@ import pytest
 from epcag_lab import _quadrature
 from epcag_lab._quadrature import (
     IntegralOperator,
+    QuadMesh,
+    SweepPlan,
     accumulate_backward,
     accumulate_forward,
     block_propagators,
@@ -104,6 +106,65 @@ def loop_block_propagators(block, mesh, dim, micro_steps=2):
             )
         F[j], B[j] = cache[key]
     return F, B
+
+
+# Reference: the blocked scan as it ran before plans, forming the panel maps
+# and the scan's matrix half in every call, kept verbatim.
+
+def oneshot_affine_scan(A, b, x0, out):
+    s = 1
+    while s < len(A):
+        if b is not None:
+            b[s:] += A[s:] @ b[:-s]
+        A[s:] = A[s:] @ A[:-s]
+        s *= 2
+    np.matmul(A, x0, out=out)
+    if b is not None:
+        out += b
+
+
+def oneshot_accumulate(E0, E1, Eh, gvals, mesh, init, g_close, top):
+    out = np.empty((mesh.size,) + np.shape(init))
+    step = -1 if top else 1
+    order = slice(None, None, step)
+    out[order][0] = init
+    if np.shape(init)[0] == 0:
+        return out
+    x, g = _quadrature._columns(out), _quadrature._columns(gvals)
+    near, far = (x[0:-1:2][order], x[2::2][order])[order]
+    mids = x[1::2][order]
+    g_lo, g_mid, g_up = g[0:-1:2][order], g[1::2][order], g[2::2][order]
+    h = step * np.repeat([h for _start, _ns, h in mesh.blocks],
+                         [ns // 2 for _start, ns, _h in mesh.blocks])[order, None, None]
+    closes = np.full(len(h), -1)
+    closes[mesh.block_ends // 2 - 1] = np.arange(len(mesh.blocks))
+    closes = closes[order]
+    if g_close is not None:
+        g_close = _quadrature._columns(g_close)
+    for lo in range(0, len(h), _quadrature._SCAN_BLOCK):
+        sl = slice(lo, lo + _quadrature._SCAN_BLOCK)
+        g_upper = g_up[sl]
+        hit = closes[sl] >= 0
+        if g_close is not None and hit.any():
+            g_upper = g_upper.copy()
+            g_upper[hit] = g_close[closes[sl][hit]]
+        g_near, g_far = (g_lo[sl], g_upper)[order]
+        e0, e1 = E0[sl], E1[sl]
+        psi0 = e0 @ g_near
+        half = (h[sl] / 12.0) * (5.0 * psi0 + 8.0 * g_mid[sl] - Eh[sl] @ g_far)
+        full = (h[sl] / 3.0) * (e1 @ psi0 + 4.0 * (e1 @ g_mid[sl]) + g_far)
+        oneshot_affine_scan(e1 @ e0, full, near[sl.start], far[sl])
+        mids[sl] = e0 @ near[sl] + half
+    return out
+
+
+def oneshot_forward(F, B, gvals, mesh, init, g_close=None):
+    return oneshot_accumulate(F[0::2], F[1::2], B[1::2], gvals, mesh, init, g_close, top=False)
+
+
+def oneshot_backward(F, B, gvals, mesh, init, g_close=None):
+    return oneshot_accumulate(B[1::2][::-1], B[0::2][::-1], F[0::2][::-1], gvals, mesh, init,
+                              g_close, top=True)
 
 
 def n_panels(mesh):
@@ -262,3 +323,118 @@ def test_iteration_budget_exhausted_raises_convergence_error(solve):
     with pytest.raises(ConvergenceError) as info:
         solve()
     assert 0.0 < info.value.last_ratio < 1.0
+
+
+def varying_props(mesh, d, sign, rng):
+    """F, B from expm of a block A(t) that changes at every sub-step."""
+    A0 = 0.3 * rng.standard_normal((d, d)) + sign * 1.5 * np.eye(d)
+    A1 = 0.3 * rng.standard_normal((d, d))
+    mids = 0.5 * (mesh.ts[1:] + mesh.ts[:-1])
+    hs = np.diff(mesh.ts)
+    F = np.array([scipy_linalg.expm((A0 + np.sin(t) * A1) * h) for t, h in zip(mids, hs)])
+    B = np.array([scipy_linalg.expm(-(A0 + np.sin(t) * A1) * h) for t, h in zip(mids, hs)])
+    return F, B
+
+
+def constant_props(mesh, d, sign, rng):
+    """F, B of a constant (array) block, as ``IntegralOperator`` builds them."""
+    A = 0.3 * rng.standard_normal((d, d)) + sign * 1.5 * np.eye(d)
+    return block_propagators(A, mesh, d)
+
+
+PLAN_CASES = [(mesh, d, r, kind)
+              for mesh in MESHES
+              for d in (1, 2, 4)
+              for r in (None, 3)
+              for kind in ("expm", "constant", "varying")]
+
+
+@pytest.mark.parametrize("mesh_name,d,r,kind", PLAN_CASES)
+def test_planned_sweeps_equal_one_shot_scan_bitwise(mesh_name, d, r, kind):
+    """One plan reused over several integrands gives, bit for bit, what the
+    scan that forms every product in each call gives."""
+    mesh = MESHES[mesh_name]
+    make = {"expm": props, "constant": constant_props, "varying": varying_props}[kind]
+    rng = np.random.default_rng([d, 0 if r is None else r, len(mesh.ts), len(kind)])
+    tail = (d,) if r is None else (d, r)
+    for sign, top, new, ref in ((-1.0, False, accumulate_forward, oneshot_forward),
+                                (1.0, True, accumulate_backward, oneshot_backward)):
+        F, B = make(mesh, d, sign, rng)
+        plan = SweepPlan(F, B, mesh, top)
+        if kind == "varying":
+            # no two panel maps are equal, so no level collapses
+            assert all(M.ndim == 3 for *_, scan in plan.blocks for _s, M in scan.levels)
+        for close in (False, True, True):
+            gvals = rng.standard_normal((mesh.size,) + tail)
+            g_close = rng.standard_normal((len(mesh.blocks),) + tail) if close else None
+            init = rng.standard_normal(tail)
+            want = ref(F, B, gvals, mesh, init, g_close)
+            assert np.array_equal(new(F, B, gvals, mesh, init, g_close, plan), want)
+            assert np.array_equal(new(F, B, gvals, mesh, init, g_close), want)
+
+
+def plan_bytes(plan):
+    """Bytes of the arrays a ``SweepPlan`` holds itself (E0, E1, Eh are views)."""
+    return sum(h12.nbytes + h3.nbytes + hit.nbytes + closes.nbytes + scan.A.nbytes
+               + sum(M.nbytes for _s, M in scan.levels)
+               for _sl, h12, h3, hit, closes, scan in plan.blocks)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+def test_plan_of_a_constant_block_is_smaller_than_its_propagators(d):
+    unit = make_uniform_grid(1.0, window=(-1.0, 40.0))
+    mesh = build_mesh(unit, 0.0, 30.0, 64)
+    A = 0.3 * np.random.default_rng(d).standard_normal((d, d)) - 1.5 * np.eye(d)
+    F, B = block_propagators(A, mesh, d)
+    for top in (False, True):
+        plan = SweepPlan(F, B, mesh, top)
+        # every level of every full scan block collapses to one matrix
+        full = [scan for sl, *_, scan in plan.blocks
+                if len(scan.A) == _quadrature._SCAN_BLOCK]
+        assert len(full) > 1
+        assert all(M.shape == (d, d) for scan in full for _s, M in scan.levels)
+        assert plan_bytes(plan) < F.nbytes + B.nbytes
+
+
+def test_operator_builds_each_directions_plan_once(monkeypatch):
+    built = []
+
+    class CountingPlan(SweepPlan):
+        def __init__(self, F, B, mesh, top):
+            built.append(top)
+            super().__init__(F, B, mesh, top)
+
+    monkeypatch.setattr(_quadrature, "SweepPlan", CountingPlan)
+    red = reduced("forced-scalar", feedback=0.2)
+    op = IntegralOperator(red, red.spec.grid, 0.0, 12.0, 64)
+    z = np.zeros((op.mesh.size, red.n))
+    sweeps = list(op.iterate(red.g, z, np.zeros(red.k), np.zeros(red.m), 1e-12, 200))
+    assert len(sweeps) > 3
+    assert sorted(built) == [False, True]
+
+
+def test_every_sweep_goes_through_the_module_level_accumulators(monkeypatch):
+    """Counting wrappers on the module's accumulators, installed the way
+    perfbench's tracer installs them, see every sweep and the mesh at
+    argument 3."""
+    seen = {"accumulate_forward": [], "accumulate_backward": []}
+    for name, calls in seen.items():
+        def wrapper(*args, _inner=getattr(_quadrature, name), _calls=calls, **kwargs):
+            _calls.append(args[3])
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(_quadrature, name, wrapper)
+    sweeps = []
+    apply = IntegralOperator.apply
+
+    def counting_apply(self, g, u0, v0):
+        sweeps.append(self.mesh)
+        return apply(self, g, u0, v0)
+
+    monkeypatch.setattr(IntegralOperator, "apply", counting_apply)
+    res = bounded_solution(reduced("forced-scalar", feedback=0.1), window=(0.0, 3.0))
+    assert len(sweeps) >= res.iterations > 1
+    for calls in seen.values():
+        assert len(calls) == len(sweeps)
+        assert all(mesh is swept for mesh, swept in zip(calls, sweeps))
+        assert all(isinstance(mesh, QuadMesh) for mesh in calls)

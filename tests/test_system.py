@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from epcag_lab.errors import ConfigError, ExpressionError, InvalidParameterError
+from epcag_lab.errors import ConfigError, EvaluationError, ExpressionError, InvalidParameterError
+from epcag_lab.grid import make_uniform_grid
 from epcag_lab.linear import fundamental_matrix
 from epcag_lab.system import (
+    SystemSpec,
     estimate_lipschitz,
     estimate_mu,
     get_problem,
@@ -185,6 +187,128 @@ def test_estimate_lipschitz_degenerate_box():
         estimate_lipschitz(spec, box=0.0)
     with pytest.raises(InvalidParameterError):
         estimate_lipschitz(spec, box=1.0, samples=1)
+
+
+# Reference: the one-pair-at-a-time estimators the batched ones replace, kept
+# verbatim but for the argument checks.
+
+def loop_estimate_mu(spec):
+    lo, hi = spec.grid.window
+    ts = np.linspace(lo, hi, 200)
+    return float(max(np.linalg.norm(spec.eval_A(t), 2) for t in ts))
+
+
+def loop_estimate_lipschitz(spec, box, samples=200):
+    n = spec.n
+    rng = np.random.default_rng(0)
+    lo, hi = spec.grid.window
+    ts = np.linspace(lo, hi, 7)
+
+    pairs = []  # (y1, w1, y2, w2)
+    scales = [1.0, 0.5, 0.25, 0.125]
+    for s in scales:
+        r = s * box
+        for k in range(n):
+            e = np.zeros(n)
+            e[k] = r
+            z = np.zeros(n)
+            for delta in (2.0 * r, 1e-3 * r):
+                d = np.zeros(n)
+                d[k] = delta
+                pairs.append((e, z, e - d, z))
+                pairs.append((z, e, z, e - d))
+                pairs.append((-e, z, -e + d, z))
+                pairs.append((z, -e, z, -e + d))
+        m = max(1, samples // (4 * len(scales)))
+        for _ in range(m):
+            y1, w1, y2, w2 = (rng.uniform(-r, r, size=n) for _ in range(4))
+            pairs.append((y1, w1, y2, w2))
+            d = rng.uniform(-1e-3 * r, 1e-3 * r, size=n)
+            pairs.append((y1, w1, y1 + d, w1))
+
+    best = 0.0
+    for t in ts:
+        for y1, w1, y2, w2 in pairs:
+            den = np.linalg.norm(y1 - y2) + np.linalg.norm(w1 - w2)
+            if den == 0:
+                continue
+            num = np.linalg.norm(spec.eval_f(t, y1, w1) - spec.eval_f(t, y2, w2))
+            best = max(best, num / den)
+    return float(best)
+
+
+N2_CONFIG = """
+[system]
+n = 2
+A11 = -1 + 0.3*sin(t)
+A12 = 0.2*cos(2*t)
+A21 = 0.1*t
+A22 = 0.5
+f1 = 0.1*sin(w1*y2) + 0.05*y1^2*cos(t)
+f2 = 0.2*w2*w1 - 0.1*exp(0.3*y2)
+
+[grid]
+kind = uniform
+step = 1.0
+offset = 0.0
+window = -3 4
+
+[constants]
+mu = 2.0
+lip = 1.0
+"""
+
+
+def api_spec():
+    """A system from the API: A(t) and f are plain Python functions."""
+    def A(t):
+        return np.array([[-1.0, 0.4 * np.sin(t)], [0.1, 0.7 + 0.2 * np.cos(t)]])
+
+    def f(t, y, w):
+        y, w = np.asarray(y), np.asarray(w)
+        return np.stack([0.3 * np.tanh(y[..., 1] * w[..., 0]) + 0.01 * t * y[..., 0],
+                         0.2 * np.sin(w[..., 1]) * np.cos(y[..., 0])], axis=-1)
+
+    return SystemSpec(n=2, A=A, f=f, grid=make_uniform_grid(1.0, window=(-2.0, 5.0)),
+                      mu=1.0, lip=1.0)
+
+
+@pytest.mark.parametrize("make", [lambda: parse_system(N2_CONFIG), api_spec,
+                                  lambda: get_problem("paper-example-1")],
+                         ids=["config", "api", "registry"])
+@pytest.mark.parametrize("box,samples", [(1.0, 200), (0.5, 40)])
+def test_batched_estimators_match_pair_loop(make, box, samples):
+    spec = make()
+    assert estimate_lipschitz(spec, box, samples) == pytest.approx(
+        loop_estimate_lipschitz(spec, box, samples), rel=1e-12)
+    assert estimate_mu(spec) == pytest.approx(loop_estimate_mu(spec), rel=1e-12)
+
+
+def test_batched_estimators_call_f_once_per_time_and_A_once(monkeypatch):
+    spec = api_spec()
+    calls = {"f": 0, "A": 0}
+
+    def f(t, y, w):
+        calls["f"] += 1
+        return spec.f(t, y, w)
+
+    eval_A = SystemSpec.eval_A
+
+    def counting_eval_A(self, t):
+        calls["A"] += 1
+        return eval_A(self, t)
+
+    monkeypatch.setattr(SystemSpec, "eval_A", counting_eval_A)
+    counted = SystemSpec(n=2, A=spec.A, f=f, grid=spec.grid, mu=1.0, lip=1.0)
+    estimate_lipschitz(counted, box=1.0)
+    estimate_mu(counted)
+    assert calls == {"f": 7, "A": 1}
+
+
+def test_estimate_lipschitz_domain_error_names_its_position():
+    cfg = EX1_CONFIG.replace("f1 = -w1^2", "f1 = 0.01/w1").replace("lip = 5.0", "lip = estimate")
+    with pytest.raises(EvaluationError, match="division by zero at line 5"):
+        parse_system(cfg)
 
 
 def test_estimate_mu():
