@@ -32,7 +32,7 @@ from .reduction import propagators, reduce
 from .reporting import emit_report, fmt
 from .solver import back_continue, solve_forward
 from .steady import SteadyParams, bounded_solution, periodic_solution
-from .system import get_problem, parse_config
+from .system import check_run_value, get_problem, parse_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -80,6 +80,7 @@ def _load_spec(args):
 def _resolved(args, flag, config_key, default):
     value = getattr(args, flag, None)
     if value is not None:
+        check_run_value(config_key, value, f"--{flag}")
         return value
     return getattr(args, "_config_overrides", {}).get(config_key, default)
 

@@ -70,6 +70,10 @@ class ManifoldParams:
             raise InvalidParameterError(f"alpha must lie in (0, sigma), got {alpha}")
         if eps <= 0:
             raise InvalidParameterError("eps must be positive")
+        if not 0 < self.tol < math.inf:
+            raise InvalidParameterError(f"tol must be positive and finite, got {self.tol}")
+        if self.horizon is not None and not 0 < self.horizon < math.inf:
+            raise InvalidParameterError(f"horizon must be positive and finite, got {self.horizon}")
         return alpha, eps
 
 

@@ -5,8 +5,9 @@ frozen at the state reached at theta_i, so the equation is an ordinary
 ODE there; knots are non-smooth points and the integration mesh never
 steps across one.  Backward continuation inverts the one-interval
 shooting map x -> y(theta_{i+1}; theta_i, x) by damped Newton from a
-multi-start lattice; preimages may fail to exist or be non-unique, and
-both outcomes are reported rather than hidden.
+multi-start lattice, then polishes the distinct roots by plain Newton;
+one batched kernel, ``_newton``, runs both.  Preimages may fail to exist
+or be non-unique, and both outcomes are reported rather than hidden.
 """
 
 import math
@@ -272,133 +273,113 @@ def shooting_map(spec, i, x0, substeps=64):
     return rk4_final(rhs, a, x0, b, max(2, substeps), guard=1e12)
 
 
-def _fd_jacobian(phi, X, fd_scale, with_base=False):
-    """Central-difference Jacobians of phi at the rows of X, shape (m, n, n).
-
-    The 2n probes of every row (and, with ``with_base``, the rows of X
-    themselves, returned as a second value) go to phi in a single batch.
-    """
+def _fd_jacobian(phi, X):
+    """phi at the rows of X and its central-difference Jacobians there,
+    shapes (m, n) and (m, n, n), from one phi call with the 2n probes."""
     m, n = X.shape
-    h = fd_scale * (1.0 + np.abs(X))  # (m, n): step of coordinate k in row q
+    h = 1e-6 * (1.0 + np.abs(X))  # (m, n): step of coordinate k in row q
     E = np.zeros((n, m, n))
     E[np.arange(n), :, np.arange(n)] = h.T
-    probes = [X + E, X - E]  # (n, m, n) each: probe k of row q at [k, q]
-    if with_base:
-        probes.append(X[None])
-    F = phi(np.concatenate(probes).reshape(-1, n))
-    F = F.reshape(-1, m, n)
-    J = ((F[:n] - F[n:2 * n]) / (2.0 * h.T[:, :, None])).transpose(1, 2, 0)
-    if with_base:
-        return J, F[2 * n]
-    return J
+    # probe k of row q at [k, q], then the rows themselves at [2n, q]
+    F = phi(np.concatenate([X + E, X - E, X[None]]).reshape(-1, n)).reshape(-1, m, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # rows that overflowed
+        J = ((F[:n] - F[n:2 * n]) / (2.0 * h.T[:, :, None])).transpose(1, 2, 0)
+    return F[2 * n], J
 
 
-def _newton_roots(phi, x_target, starts, tol_abs, max_iter, max_halvings,
-                  fd_scale=1e-6):
-    """Batched damped Newton; returns converged roots (may contain duplicates).
+def _residual(F, x_target):
+    """Rows r = F - x_target and their 2-norms (inf where not finite)."""
+    r = F - x_target
+    with np.errstate(over="ignore"):  # a norm above about 1e154 reads inf
+        rn = np.linalg.norm(r, axis=1)
+    rn[~np.isfinite(rn)] = np.inf
+    return r, rn
 
-    Each iteration makes at most three phi calls: the 2n probes of every
-    active row, the full Newton step, and every halving of the rows that
-    the full step did not improve.
+
+def _newton(phi, x_target, starts, tol_abs, max_iter, max_halvings, decrease):
+    """Batched damped Newton for phi(x) = x_target from the rows of starts;
+    returns the last points and their residual norms.
+
+    A trial is accepted when its residual is below ``(1 - decrease)``
+    times the row's or meets ``tol_abs``; a row stops when it meets
+    ``tol_abs``, its Jacobian is not finite, or neither the full step nor
+    one of its ``max_halvings`` halvings is accepted.  Full steps are
+    evaluated with their probes, so an accepted one carries its next
+    Jacobian and an iteration without halvings makes one phi call.
+    Halvings go in one call without probes; the rows they move get their
+    Jacobians in one call at the next iteration.
     """
     n = starts.shape[1]
-    X = starts.astype(float).copy()
+    X = starts.astype(float)
+    F, J = _fd_jacobian(phi, X)
+    r, rn = _residual(F, x_target)
+    fresh = np.ones(len(X), dtype=bool)  # J[q] is the Jacobian at X[q]
     alive = np.ones(len(X), dtype=bool)
-    roots = []
+    lams = 0.5 ** np.arange(1, max_halvings + 1)
 
-    def residual(Z):
-        r = phi(Z) - x_target
-        rn = np.linalg.norm(r, axis=1)
-        rn[~np.isfinite(rn)] = np.inf
-        return r, rn
-
-    def try_steps(idx, step, lams):
-        """Damped trials X[idx] + lam*step for every lam in one phi call.
-
-        Each row takes the first lam, in the given order, that reduces its
-        residual (or meets the tolerance); returns the mask of rows that
-        accepted none.
-        """
-        L, m = len(lams), len(idx)
-        cand = X[idx] + lams[:, None, None] * step  # (L, m, n)
-        r_c, rn_c = residual(cand.reshape(-1, n))
-        r_c, rn_c = r_c.reshape(L, m, n), rn_c.reshape(L, m)
-        ok = (rn_c < rn[idx] * (1.0 - 1e-4)) | (rn_c <= tol_abs)
-        hit = ok.any(axis=0)
-        pick = ok.argmax(axis=0)[hit], np.flatnonzero(hit)
-        sel = idx[hit]
-        X[sel], r[sel], rn[sel] = cand[pick], r_c[pick], rn_c[pick]
-        return ~hit
-
-    r, rn = residual(X)
     for _ in range(max_iter):
         act = np.flatnonzero(alive & (rn > tol_abs) & np.isfinite(rn))
         if len(act) == 0:
             break
-        J = _fd_jacobian(phi, X[act], fd_scale)
-        bad = ~np.isfinite(J).all(axis=(1, 2))
+        stale = act[~fresh[act]]
+        if len(stale):
+            J[stale] = _fd_jacobian(phi, X[stale])[1]
+            fresh[stale] = True
+        Ja = J[act]
+        bad = ~np.isfinite(Ja).all(axis=(1, 2))
         try:
             delta = np.linalg.solve(
-                np.where(bad[:, None, None], np.eye(n), J), -r[act][..., None]
+                np.where(bad[:, None, None], np.eye(n), Ja), -r[act][..., None]
             )[..., 0]
         except np.linalg.LinAlgError:
             delta = np.stack([
-                np.zeros(n) if bad[q] else np.linalg.lstsq(J[q], -r[act][q],
+                np.zeros(n) if bad[q] else np.linalg.lstsq(Ja[q], -r[act][q],
                                                            rcond=None)[0]
                 for q in range(len(act))
             ])
-        delta[bad] = 0.0
-        alive_idx = act[~bad]
         alive[act[bad]] = False
-        if len(alive_idx) == 0:
+        idx, step = act[~bad], delta[~bad]
+        if len(idx) == 0:
             continue
-        step = delta[~bad]
-        rest = try_steps(alive_idx, step, np.ones(1))
-        if max_halvings and rest.any():
-            rest[rest] = try_steps(alive_idx[rest], step[rest],
-                                   0.5 ** np.arange(1, max_halvings + 1))
-        alive[alive_idx[rest]] = False  # stalled: no descent possible
 
-    for q in np.flatnonzero(rn <= tol_abs):
-        roots.append((X[q], float(rn[q])))
-    return roots
+        cand = X[idx] + step
+        F_c, J_c = _fd_jacobian(phi, cand)
+        r_c, rn_c = _residual(F_c, x_target)
+        ok = (rn_c < rn[idx] * (1.0 - decrease)) | (rn_c <= tol_abs)
+        sel = idx[ok]
+        X[sel], r[sel], rn[sel], J[sel] = cand[ok], r_c[ok], rn_c[ok], J_c[ok]
+        rest, step = idx[~ok], step[~ok]
 
+        if len(lams) and len(rest):
+            L, m = len(lams), len(rest)
+            cand = X[rest] + lams[:, None, None] * step  # (L, m, n)
+            r_c, rn_c = _residual(phi(cand.reshape(-1, n)), x_target)
+            r_c, rn_c = r_c.reshape(L, m, n), rn_c.reshape(L, m)
+            ok = (rn_c < rn[rest] * (1.0 - decrease)) | (rn_c <= tol_abs)
+            hit = ok.any(axis=0)  # each row takes the first lam accepted
+            pick = ok.argmax(axis=0)[hit], np.flatnonzero(hit)
+            sel = rest[hit]
+            X[sel], r[sel], rn[sel] = cand[pick], r_c[pick], rn_c[pick]
+            fresh[sel] = False
+            rest = rest[~hit]
+        alive[rest] = False  # stalled: no descent possible
 
-def _polish_root(phi, x_target, x, rq, steps=10, fd_scale=1e-6):
-    """Plain Newton refinement; sharpens simple roots to machine level and
-    crawls double roots as close as the residual floor allows.
-
-    Each trial point is evaluated together with its own probes, so an
-    accepted step already holds the next step's Jacobian: one phi call
-    per step.
-    """
-    J, base = _fd_jacobian(phi, x[None], fd_scale, with_base=True)
-    for _ in range(steps):
-        try:
-            d = np.linalg.solve(J[0], -(base[0] - x_target))
-        except np.linalg.LinAlgError:
-            break
-        x_new = x + d
-        J_new, base_new = _fd_jacobian(phi, x_new[None], fd_scale, with_base=True)
-        r_new = float(np.linalg.norm(base_new[0] - x_target))
-        if not np.isfinite(r_new) or r_new >= rq:
-            break
-        x, rq, J, base = x_new, r_new, J_new, base_new
-    return x, rq
+    return X, rn
 
 
 def back_continue_interval(spec, i, t_target, x_target, substeps=64,
                            root_tol=1e-9):
     """All preimages at theta_i of (t_target, x_target) in its interval.
 
-    Finds every x with ||phi(x) - x_target|| below the root tolerance,
-    where phi integrates the frozen-argument equation from (theta_i, x)
-    to t_target.  Damped Newton (at most 50 iterations of 8 halvings each)
-    runs from a lattice of 17 points per coordinate spanning [-R, R],
-    R = max(10, 10*||x_target||).  Distinct roots are separated by the
-    clustering radius 1e-5*(1 + ||x||); an empty result is
-    reported as classification "none" with the search budget flagged as
-    exhausted (absence of roots is not proved).
+    Finds every x with a finite ||phi(x) - x_target|| below the root
+    tolerance, where phi integrates the frozen-argument equation from
+    (theta_i, x) to t_target.  Damped Newton (at most 50 iterations of 8
+    halvings each) runs from a lattice of 17 points per coordinate spanning
+    [-R, R], R = max(10, 10*||x_target||).  The distinct roots, separated
+    by the clustering radius 1e-5*(1 + ||x||), are polished together by
+    the same kernel as plain Newton (tolerance 0, no halvings, at most 10
+    steps).  An empty result is reported as classification "none" with
+    the search budget flagged as exhausted (absence of roots is not proved).
     """
     grid = spec.grid
     a, b = grid.knot(i), grid.knot(i + 1)
@@ -407,14 +388,18 @@ def back_continue_interval(spec, i, t_target, x_target, substeps=64,
             f"t_target={t_target} not in (theta_{i}, theta_{i + 1}] = ({a}, {b}]"
         )
     x_target = state_vector(x_target, spec.n, "x_target")
-    R = max(10.0, 10.0 * float(np.linalg.norm(x_target)))
+    with np.errstate(over="ignore"):
+        size = float(np.linalg.norm(x_target))
+    size = size if math.isfinite(size) else math.hypot(*x_target)  # squares overflowed
+    R = max(10.0, 10.0 * size)
     axes = [np.linspace(-R, R, 17)] * spec.n
     mesh = np.meshgrid(*axes, indexing="ij")
     starts = np.stack([m.ravel() for m in mesh], axis=1)
-    tol_abs = root_tol * (1.0 + float(np.linalg.norm(x_target)))
+    tol_abs = root_tol * (1.0 + size)
 
     phi = lambda X: _phi_batch(spec, i, X, t_target, substeps)
-    found = _newton_roots(phi, x_target, starts, tol_abs, 50, 8)
+    X, rn = _newton(phi, x_target, starts, tol_abs, 50, 8, 1e-4)
+    root = np.isfinite(rn) & (rn <= tol_abs)
 
     def dedupe(items):
         # smallest-norm first, greedy by the clustering radius
@@ -423,11 +408,13 @@ def back_continue_interval(spec, i, t_target, x_target, substeps=64,
         for x, rq in items:
             radius = 1e-5 * (1.0 + np.linalg.norm(x))
             if all(np.linalg.norm(x - p) > radius for p, _ in kept):
-                kept.append((x, rq))
+                kept.append((x, float(rq)))
         return kept
 
-    polished = [_polish_root(phi, x_target, x, rq) for x, rq in dedupe(found)]
-    kept = dedupe(polished)
+    kept = dedupe(zip(X[root], rn[root]))
+    if kept:
+        X, rn = _newton(phi, x_target, np.array([x for x, _ in kept]), 0.0, 10, 0, 0.0)
+        kept = dedupe(zip(X, rn))
     preimages = [x for x, _ in kept]
     residuals = [rq for _, rq in kept]
     classification = {0: "none", 1: "unique"}.get(len(preimages), "multiple")

@@ -108,6 +108,8 @@ def bounded_solution(red, window=None, params=None, probe=True, seed=0,
     initial function and records the coincidence residual.
     """
     params = params or SteadyParams()
+    if not 0 < params.tol < math.inf:
+        raise InvalidParameterError(f"tol must be positive and finite, got {params.tol}")
     spec = red.spec
     if window is None:
         window = spec.grid.window

@@ -251,12 +251,17 @@ def _run_overrides(sections):
                 raise ConfigError(f"line {ln}: unknown {section} key {key!r}") from None
             except ValueError:
                 raise ConfigError(f"line {ln}: bad value for {key!r}") from None
-    if "substeps" in overrides and not 2 <= overrides["substeps"] <= 4096:
-        raise ConfigError("substeps override out of documented bounds [2, 4096]")
-    for key in ("root_tol", "picard_tol", "steady_tol"):
-        if key in overrides and not 0 < overrides[key] <= 1e-2:
-            raise ConfigError(f"{key} override out of documented bounds (0, 1e-2]")
+            check_run_value(key, overrides[key])
     return overrides
+
+
+def check_run_value(key, value, name=None):
+    """ConfigError unless a [run]/[tolerances] value, from config or from
+    the command-line flag ``name``, is within its documented bounds."""
+    if key == "substeps" and not 2 <= value <= 4096:
+        raise ConfigError(f"{name or key} = {value} out of documented bounds [2, 4096]")
+    if key.endswith("_tol") and not 0 < value <= 1e-2:
+        raise ConfigError(f"{name or key} = {value} out of documented bounds (0, 1e-2]")
 
 
 def parse_config(config_text):

@@ -126,6 +126,38 @@ def test_backcontinue_no_preimage_exit_code(tmp_path):
     assert payload["results"]["ok"] is False
 
 
+def test_backcontinue_target_whose_norm_overflows_has_no_preimage(tmp_path, capsys):
+    code = run(["backcontinue", "--problem", "paper-example-1", "--t0", "1",
+                "--x0", "1e300", "--t-target", "0", "-o", str(tmp_path),
+                "--stamp", "T"])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--problem", "paper-example-1", "--t0", "0", "--x0", "1",
+     "--t-end", "1", "--substeps", "0"],
+    ["simulate", "--problem", "paper-example-1", "--t0", "0", "--x0", "1",
+     "--t-end", "1", "--substeps", "-5"],
+    ["backcontinue", "--problem", "paper-example-1", "--t0", "1", "--x0", "1",
+     "--t-target", "0", "--substeps", "5000"],
+    ["manifold", "--problem", "diag-dichotomy", "--c", "0.5", "--tol", "0"],
+    ["manifold", "--problem", "diag-dichotomy", "--c", "0.5", "--tol", "-1"],
+    ["manifold", "--problem", "diag-dichotomy", "--c", "0.5", "--horizon", "-1"],
+    ["bounded", "--problem", "forced-scalar", "--window", "0", "3", "--tol", "0"],
+    ["bounded", "--problem", "forced-scalar", "--window", "0", "3", "--tol", "-1"],
+    ["bounded", "--problem", "forced-scalar", "--window", "0", "3", "--tol", "0.5"],
+], ids=["simulate-substeps-0", "simulate-substeps-neg", "backcontinue-substeps-5000",
+        "manifold-tol-0", "manifold-tol-neg", "manifold-horizon-neg", "bounded-tol-0",
+        "bounded-tol-neg", "bounded-tol-0.5"])
+def test_out_of_bounds_flag_is_config_error(tmp_path, capsys, argv):
+    code = run(argv + ["-o", str(tmp_path), "--stamp", "T"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_backcontinue_success(tmp_path):
     code = run(["backcontinue", "--problem", "periodic-coupled", "--t0", "1.5",
                 "--x0", "0.4", "--t-target", "0", "-o", str(tmp_path),

@@ -291,3 +291,12 @@ def test_c4_oscillating_quotients_detected():
     mf = ManifoldFn(red, "stable")
     with pytest.raises(ConditionError):
         mf.jacobian(0.0, [0.5])
+
+
+@pytest.mark.parametrize("kw", [
+    dict(tol=0.0), dict(tol=-1.0), dict(tol=math.nan), dict(tol=math.inf),
+    dict(horizon=0.0), dict(horizon=-1.0), dict(horizon=math.nan),
+])
+def test_non_positive_tolerance_or_horizon_is_invalid_parameter(red_small, kw):
+    with pytest.raises(InvalidParameterError):
+        picard_stable(red_small, 0.0, [0.5], ManifoldParams(**kw))

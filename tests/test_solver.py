@@ -377,37 +377,292 @@ def _counting_phi(monkeypatch, spec, i, t_target, substeps=64):
     return (lambda X: solver._phi_batch(spec, i, X, t_target, substeps)), calls
 
 
-_PROBE_CASES = {
-    1: (lambda: get_problem("paper-example-1"), [1.0], [[-3.0], [0.5], [3.0]]),
-    2: (_nonsymmetric_spec, [0.6, -0.2], [[-2.0, 1.0], [0.5, 0.5], [2.0, -1.5]]),
+# Reference: the search and its polish as two Newton implementations, with
+# the search-then-polish sequence of back_continue_interval, kept verbatim.
+
+def ref_fd_jacobian(phi, X, fd_scale, with_base=False):
+    """Central-difference Jacobians of phi at the rows of X, shape (m, n, n).
+
+    The 2n probes of every row (and, with ``with_base``, the rows of X
+    themselves, returned as a second value) go to phi in a single batch.
+    """
+    m, n = X.shape
+    h = fd_scale * (1.0 + np.abs(X))  # (m, n): step of coordinate k in row q
+    E = np.zeros((n, m, n))
+    E[np.arange(n), :, np.arange(n)] = h.T
+    probes = [X + E, X - E]  # (n, m, n) each: probe k of row q at [k, q]
+    if with_base:
+        probes.append(X[None])
+    F = phi(np.concatenate(probes).reshape(-1, n))
+    F = F.reshape(-1, m, n)
+    J = ((F[:n] - F[n:2 * n]) / (2.0 * h.T[:, :, None])).transpose(1, 2, 0)
+    if with_base:
+        return J, F[2 * n]
+    return J
+
+
+def ref_newton_roots(phi, x_target, starts, tol_abs, max_iter, max_halvings,
+                     fd_scale=1e-6):
+    """Batched damped Newton; returns converged roots (may contain duplicates).
+
+    Each iteration makes at most three phi calls: the 2n probes of every
+    active row, the full Newton step, and every halving of the rows that
+    the full step did not improve.
+    """
+    n = starts.shape[1]
+    X = starts.astype(float).copy()
+    alive = np.ones(len(X), dtype=bool)
+    roots = []
+
+    def residual(Z):
+        r = phi(Z) - x_target
+        rn = np.linalg.norm(r, axis=1)
+        rn[~np.isfinite(rn)] = np.inf
+        return r, rn
+
+    def try_steps(idx, step, lams):
+        """Damped trials X[idx] + lam*step for every lam in one phi call.
+
+        Each row takes the first lam, in the given order, that reduces its
+        residual (or meets the tolerance); returns the mask of rows that
+        accepted none.
+        """
+        L, m = len(lams), len(idx)
+        cand = X[idx] + lams[:, None, None] * step  # (L, m, n)
+        r_c, rn_c = residual(cand.reshape(-1, n))
+        r_c, rn_c = r_c.reshape(L, m, n), rn_c.reshape(L, m)
+        ok = (rn_c < rn[idx] * (1.0 - 1e-4)) | (rn_c <= tol_abs)
+        hit = ok.any(axis=0)
+        pick = ok.argmax(axis=0)[hit], np.flatnonzero(hit)
+        sel = idx[hit]
+        X[sel], r[sel], rn[sel] = cand[pick], r_c[pick], rn_c[pick]
+        return ~hit
+
+    r, rn = residual(X)
+    for _ in range(max_iter):
+        act = np.flatnonzero(alive & (rn > tol_abs) & np.isfinite(rn))
+        if len(act) == 0:
+            break
+        J = ref_fd_jacobian(phi, X[act], fd_scale)
+        bad = ~np.isfinite(J).all(axis=(1, 2))
+        try:
+            delta = np.linalg.solve(
+                np.where(bad[:, None, None], np.eye(n), J), -r[act][..., None]
+            )[..., 0]
+        except np.linalg.LinAlgError:
+            delta = np.stack([
+                np.zeros(n) if bad[q] else np.linalg.lstsq(J[q], -r[act][q],
+                                                           rcond=None)[0]
+                for q in range(len(act))
+            ])
+        delta[bad] = 0.0
+        alive_idx = act[~bad]
+        alive[act[bad]] = False
+        if len(alive_idx) == 0:
+            continue
+        step = delta[~bad]
+        rest = try_steps(alive_idx, step, np.ones(1))
+        if max_halvings and rest.any():
+            rest[rest] = try_steps(alive_idx[rest], step[rest],
+                                   0.5 ** np.arange(1, max_halvings + 1))
+        alive[alive_idx[rest]] = False  # stalled: no descent possible
+
+    for q in np.flatnonzero(rn <= tol_abs):
+        roots.append((X[q], float(rn[q])))
+    return roots
+
+
+def ref_polish_root(phi, x_target, x, rq, steps=10, fd_scale=1e-6):
+    """Plain Newton refinement; sharpens simple roots to machine level and
+    crawls double roots as close as the residual floor allows.
+
+    Each trial point is evaluated together with its own probes, so an
+    accepted step already holds the next step's Jacobian: one phi call
+    per step.
+    """
+    J, base = ref_fd_jacobian(phi, x[None], fd_scale, with_base=True)
+    for _ in range(steps):
+        try:
+            d = np.linalg.solve(J[0], -(base[0] - x_target))
+        except np.linalg.LinAlgError:
+            break
+        x_new = x + d
+        J_new, base_new = ref_fd_jacobian(phi, x_new[None], fd_scale, with_base=True)
+        r_new = float(np.linalg.norm(base_new[0] - x_target))
+        if not np.isfinite(r_new) or r_new >= rq:
+            break
+        x, rq, J, base = x_new, r_new, J_new, base_new
+    return x, rq
+
+
+def ref_preimages(spec, i, t_target, x_target, substeps=64, root_tol=1e-9):
+    """(classification, preimages, residuals) by the reference sequence."""
+    x_target = np.asarray(x_target, dtype=float).reshape(spec.n)
+    R = max(10.0, 10.0 * float(np.linalg.norm(x_target)))
+    axes = [np.linspace(-R, R, 17)] * spec.n
+    mesh = np.meshgrid(*axes, indexing="ij")
+    starts = np.stack([m.ravel() for m in mesh], axis=1)
+    tol_abs = root_tol * (1.0 + float(np.linalg.norm(x_target)))
+
+    phi = lambda X: solver._phi_batch(spec, i, X, t_target, substeps)
+    found = ref_newton_roots(phi, x_target, starts, tol_abs, 50, 8)
+
+    def dedupe(items):
+        # smallest-norm first, greedy by the clustering radius
+        items = sorted(items, key=lambda xr: (np.linalg.norm(xr[0]), tuple(xr[0])))
+        kept = []
+        for x, rq in items:
+            radius = 1e-5 * (1.0 + np.linalg.norm(x))
+            if all(np.linalg.norm(x - p) > radius for p, _ in kept):
+                kept.append((x, rq))
+        return kept
+
+    polished = [ref_polish_root(phi, x_target, x, rq) for x, rq in dedupe(found)]
+    kept = dedupe(polished)
+    preimages = [x for x, _ in kept]
+    residuals = [rq for _, rq in kept]
+    classification = {0: "none", 1: "unique"}.get(len(preimages), "multiple")
+    return classification, preimages, residuals
+
+
+N2_CONFIG = """
+[system]
+n = 2
+A11 = -0.5
+A12 = 0.3
+A21 = -0.2
+A22 = 0.4
+f1 = 0.02*sin(w2) + 0.01*y2*cos(t)
+f2 = 0.01*cos(w1) - 0.01*sin(y1)
+[grid]
+step = 1.0
+window = 0 4
+[constants]
+mu = 0.75
+lip = 0.03
+"""
+
+
+def _c03_cases():
+    # c03's 50 targets, drawn as the criterion draws them for seed 0
+    e1 = get_problem("paper-example-1")
+    rng = np.random.default_rng(2)
+    cases = []
+    while len(cases) < 50:
+        z = rng.uniform(-6.0, 6.0)
+        if abs(z - E2 ** 2 / (2.0 * (E2 - 1.0))) > 0.05:
+            cases.append((e1, 0, 1.0, [z], 128))
+    return cases
+
+
+def _n2_cases():
+    n2 = parse_system(N2_CONFIG)
+    return [(n2, 0, 1.0, solve_forward(n2, 0.0, x, 1.0).ys[-1], 64)
+            for x in ([0.7, -1.2], [-1.4, 0.3], [0.2, 1.1])]
+
+
+def _nonsymmetric_case():
+    ns = _nonsymmetric_spec()
+    return [(ns, 1, 2.0, shooting_map(ns, 1, np.array([0.4, -0.3])), 64)]
+
+
+_REFERENCE_CASES = {
+    "c03-targets": _c03_cases,
+    "double-root": lambda: [(get_problem("paper-example-1"), 0, 1.0,
+                             [E2 ** 2 / (2.0 * (E2 - 1.0))], 128)],
+    "nonsymmetric": _nonsymmetric_case,
+    "config-n2": _n2_cases,
+    "domain-error": lambda: [(parse_system(DOMAIN_ERROR_CONFIG), 0, 1.0, [0.3, -0.2], 64)],
 }
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_newton_iteration_probes_in_one_phi_call(monkeypatch, n):
-    make, x_target, starts = _PROBE_CASES[n]
+@pytest.mark.parametrize("key", list(_REFERENCE_CASES))
+def test_newton_kernel_matches_reference_bit_for_bit(key):
+    for spec, i, t_target, x_target, substeps in _REFERENCE_CASES[key]():
+        ps = back_continue_interval(spec, i, t_target, x_target, substeps=substeps)
+        cls, preimages, residuals = ref_preimages(spec, i, t_target, x_target, substeps)
+        assert ps.classification == cls
+        assert len(ps.preimages) == len(preimages)
+        for got, want in zip(ps.preimages, preimages):
+            assert np.array_equal(got, want)
+        assert ps.residuals == residuals
+
+
+# (spec, target, starts from which every full step is accepted, starts
+# that also need halvings)
+_PROBE_CASES = {
+    1: (lambda: get_problem("paper-example-1"), [1.0],
+        [[-3.0], [0.5], [3.0]], [[-3.0], [0.5], [1.2], [3.0]]),
+    2: (_nonsymmetric_spec, [0.6, -0.2],
+        [[-2.0, 1.0], [0.5, 0.5], [2.0, -1.5]],
+        [[-2.0, 1.0], [0.5, 0.5], [2.0, -1.5], [30.0, -20.0]]),
+}
+
+
+def _calls_per_iteration(monkeypatch, n, starts):
+    """Row counts of the _phi_batch calls of each search iteration, read
+    off runs stopped after 1, 2, ... iterations."""
+    make, x_target = _PROBE_CASES[n][:2]
     phi, calls = _counting_phi(monkeypatch, make(), 0, 1.0)
-    starts = np.array(starts)
-    solver._newton_roots(phi, np.array(x_target), starts, tol_abs=1e-9,
-                         max_iter=1, max_halvings=8)
-    # residual at the starts, then all 2n probes of every row in one batch,
-    # then the full step and (if any row needs it) the damped trials
-    assert calls[1] == 2 * n * len(starts)
-    assert 3 <= len(calls) <= 4
+    per_iteration, seen = [], 1  # the first call evaluates the starts
+    for max_iter in range(1, 30):
+        calls.clear()
+        solver._newton(phi, np.array(x_target), np.array(starts), 1e-9, max_iter, 8, 1e-4)
+        assert calls[0] == (2 * n + 1) * len(starts)
+        if len(calls) == seen:
+            return per_iteration
+        per_iteration.append(calls[seen:])
+        seen = len(calls)
+    raise AssertionError("the search did not stop")
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_polish_root_at_most_two_phi_calls_per_step(monkeypatch, n):
-    make, x_target, starts = _PROBE_CASES[n]
+def test_newton_iteration_without_halvings_makes_one_phi_call(monkeypatch, n):
+    per_iteration = _calls_per_iteration(monkeypatch, n, _PROBE_CASES[n][2])
+    assert len(per_iteration) >= 3
+    for calls in per_iteration:
+        # the full steps of the active rows, each with its 2n probes
+        assert len(calls) == 1 and calls[0] % (2 * n + 1) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_newton_iteration_with_halvings_makes_at_most_three_phi_calls(monkeypatch, n):
+    per_iteration = _calls_per_iteration(monkeypatch, n, _PROBE_CASES[n][3])
+    assert any(len(calls) > 1 for calls in per_iteration)
+    assert all(1 <= len(calls) <= 3 for calls in per_iteration)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_polish_of_k_roots_makes_one_phi_call_per_step(monkeypatch, n):
+    make, x_target, starts = _PROBE_CASES[n][:3]
     phi, calls = _counting_phi(monkeypatch, make(), 0, 1.0)
     x_target = np.array(x_target)
-    found = solver._newton_roots(phi, x_target, np.array(starts), 1e-9, 50, 8)
-    assert found
-    x = found[0][0] + 1e-3  # a point a few Newton steps away from the root
+    X, rn = solver._newton(phi, x_target, np.array(starts), 1e-9, 50, 8, 1e-4)
+    roots = X[rn <= 1e-9]
+    assert len(roots)
+    # points a few Newton steps away from the roots, so that no step stalls
+    near = np.concatenate([roots + 1e-3, roots - 1e-3])
     for steps in (1, 2, 3):
         calls.clear()
-        solver._polish_root(phi, x_target, x, np.inf, steps=steps)
-        assert 1 <= len(calls) <= 2 * steps
+        solver._newton(phi, x_target, near, 0.0, steps, 0, 0.0)
+        assert calls == [(2 * n + 1) * len(near)] * (steps + 1)
+
+
+def test_target_whose_norm_overflows_has_no_preimage():
+    # ||x||^2 overflows; phi(x) <= e^4 / (2(e^2 - 1)) has no root there
+    ps = back_continue_interval(get_problem("paper-example-1"), 0, 1.0, [1e300])
+    assert ps.classification == "none"
+    assert ps.preimages == [] and ps.residuals == []
+
+
+@pytest.mark.parametrize("make, target", [
+    (lambda: get_problem("paper-example-1"), [-1e300]),
+    (lambda: parse_system(N2_CONFIG), [1e308, 1e308]),
+], ids=["n1", "n2"])
+def test_preimages_of_a_huge_target_are_finite(make, target):
+    ps = back_continue_interval(make(), 0, 1.0, target)
+    for p, rq in zip(ps.preimages, ps.residuals):
+        assert np.isfinite(p).all() and math.isfinite(rq)
 
 
 _BAD_STATES = [[1.0, 2.0], [], [[1.0], [2.0]], [math.nan], [math.inf]]

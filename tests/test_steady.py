@@ -171,3 +171,12 @@ def test_two_sided_bounded_solution():
     # and the periodic residual certifies 1-periodicity
     pres = periodic_solution(red)
     assert pres.residual <= 1e-7
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_non_positive_tolerance_is_invalid_parameter(tol):
+    with pytest.raises(InvalidParameterError):
+        bounded_solution(reduced("forced-scalar"), window=(0.0, 3.0),
+                         params=SteadyParams(tol=tol))
+    with pytest.raises(InvalidParameterError):
+        periodic_solution(reduced("periodic-coupled"), params=SteadyParams(tol=tol))
