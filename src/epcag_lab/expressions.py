@@ -19,6 +19,10 @@ scalar.  When it is an array, each bad element becomes NaN instead, so
 one bad row of a batch does not end the evaluation of the others.  Where
 the rows of an array are the times of one function rather than separate
 states, ``raise_at_first_nonfinite`` restores the error.
+
+``ExpressionTree.partial`` evaluates ahead of time every subtree that reads
+only some of the variables (such as a frozen argument held fixed while the
+others vary), keeping the bits and the domain errors of a full evaluation.
 """
 
 import re
@@ -66,6 +70,20 @@ def _tokenize(text, line0=1, col0=1):
     return tokens
 
 
+# Nodes are tuples whose last item is the frozenset of the variable names
+# the subtree reads, computed once as the tree is built:
+#   ("num", value, names)                ("var", name, names)
+#   ("neg", pos, arg, names)             ("call", func, pos, arg, names)
+#   ("bin", op, pos, left, right, names)
+# A num's value is a float, or after ``ExpressionTree.partial`` any value
+# an evaluation can produce (a numpy scalar or array).
+_NO_NAMES = frozenset()
+
+
+def _binary(op, pos, left, right):
+    return ("bin", op, pos, left, right, left[-1] | right[-1])
+
+
 class _Parser:
     def __init__(self, tokens, variables):
         self.tokens = tokens
@@ -92,21 +110,22 @@ class _Parser:
         node = self.term()
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             op = self.advance()
-            node = ("bin", op[1], op[2:], node, self.term())
+            node = _binary(op[1], op[2:], node, self.term())
         return node
 
     def term(self):
         node = self.factor()
         while self.peek()[0] == "op" and self.peek()[1] in "*/":
             op = self.advance()
-            node = ("bin", op[1], op[2:], node, self.factor())
+            node = _binary(op[1], op[2:], node, self.factor())
         return node
 
     def factor(self):
         tok = self.peek()
         if tok[0] == "op" and tok[1] == "-":
             self.advance()
-            return ("neg", tok[2:], self.factor())
+            arg = self.factor()
+            return ("neg", tok[2:], arg, arg[-1])
         return self.power()
 
     def power(self):
@@ -114,13 +133,13 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "op" and tok[1] == "^":
             self.advance()
-            return ("bin", "^", tok[2:], base, self.factor())
+            return _binary("^", tok[2:], base, self.factor())
         return base
 
     def atom(self):
         tok = self.advance()
         if tok[0] == "num":
-            return ("num", float(tok[1]))
+            return ("num", float(tok[1]), _NO_NAMES)
         if tok[0] == "name":
             name = tok[1]
             nxt = self.peek()
@@ -130,12 +149,12 @@ class _Parser:
                 self.advance()
                 arg = self.expr()
                 self.expect_op(")")
-                return ("call", name, tok[2:], arg)
+                return ("call", name, tok[2:], arg, arg[-1])
             if name == "pi":
-                return ("num", float(np.pi))
+                return ("num", float(np.pi), _NO_NAMES)
             if name not in self.variables:
                 self.fail(f"unknown identifier {name!r}", tok)
-            return ("var", name)
+            return ("var", name, frozenset([name]))
         if tok[0] == "op" and tok[1] == "(":
             node = self.expr()
             self.expect_op(")")
@@ -206,16 +225,36 @@ def raise_at_first_nonfinite(evaluate, values, *points):
     return values
 
 
-def _free_vars(node, out):
-    if node[0] == "var":
-        out.add(node[1])
-    elif node[0] == "neg":
-        _free_vars(node[2], out)
-    elif node[0] == "call":
-        _free_vars(node[3], out)
-    elif node[0] == "bin":
-        _free_vars(node[3], out)
-        _free_vars(node[4], out)
+def _fold(node, env):
+    """``node`` with every subtree over the names of ``env`` alone replaced
+    by a num node holding its value.
+
+    Children are folded first, so each operation runs once.  An operation
+    that raises (a domain error of a scalar, or a floating-point error
+    under ``np.errstate(...="raise")``) is left in the tree over its folded
+    operands, so evaluating the tree raises it in its turn, after the
+    operations to its left, with its own position.
+    """
+    kind = node[0]
+    if kind == "num":
+        return node
+    if kind == "var":
+        return ("num", env[node[1]], _NO_NAMES) if node[1] in env else node
+    if kind == "neg":
+        arg = _fold(node[2], env)
+        node, args = ("neg", node[1], arg, arg[-1]), (arg,)
+    elif kind == "call":
+        arg = _fold(node[3], env)
+        node, args = ("call", node[1], node[2], arg, arg[-1]), (arg,)
+    else:
+        args = (_fold(node[3], env), _fold(node[4], env))
+        node = _binary(node[1], node[2], *args)
+    if all(a[0] == "num" for a in args):
+        try:
+            return ("num", _eval(node, env), _NO_NAMES)
+        except (EvaluationError, FloatingPointError):
+            pass
+    return node
 
 
 class ExpressionTree:
@@ -227,15 +266,25 @@ class ExpressionTree:
     def __init__(self, source, root):
         self.source = source
         self.root = root
-        used = set()
-        _free_vars(root, used)
-        self.variables = frozenset(used)
+        self.variables = root[-1]
 
     def eval(self, env):
         missing = self.variables - env.keys()
         if missing:
             raise EvaluationError(f"missing variable values: {sorted(missing)}")
         return _eval(self.root, env)
+
+    def partial(self, env):
+        """The tree with every subtree that reads only names of ``env`` (or
+        no name) replaced by its value.
+
+        Evaluating the result with the remaining variables runs the same
+        operations on the same operands as ``eval`` with all of them, so
+        it gives the same bits, and a domain error raises with the same
+        message and position, in the same order.  The fold itself raises
+        nothing: an operation that would raise stays in the tree.
+        """
+        return ExpressionTree(self.source, _fold(self.root, env))
 
     def __repr__(self):
         return f"ExpressionTree({self.source!r})"

@@ -2,7 +2,9 @@
 
 Within each knot interval [theta_i, theta_{i+1}) the delayed argument is
 frozen at the state reached at theta_i, so the equation is an ordinary
-ODE there; knots are non-smooth points and the integration mesh never
+ODE there, with the frozen value as a parameter (a config f evaluates
+its subexpressions in that value alone once per interval, not at every
+RK4 stage); knots are non-smooth points and the integration mesh never
 steps across one.  Backward continuation inverts the one-interval
 shooting map x -> y(theta_{i+1}; theta_i, x) by damped Newton from a
 multi-start lattice, then polishes the distinct roots by plain Newton;
@@ -131,10 +133,10 @@ def _frozen_rhs(spec, w):
     When ``spec.f_ignores_y`` is set the equation is affine in y with the
     forcing f(t, w), and the result is an ``integrate.Affine`` that the
     integrators take in closed form.  Otherwise it is a callable for the
-    RK4 step loop.  When ``spec.a_constant`` is set it must equal A(t) for
-    every t; it is then used in place of A (transposed once for the loop,
-    which calls ``spec.f`` without the ``eval_A``/``eval_f`` wrappers).  A
-    scalar or short f result is still broadcast to the shape of y, as
+    RK4 step loop, which takes f from ``_frozen_f``.  When
+    ``spec.a_constant`` is set it must equal A(t) for every t; it is then
+    used in place of A (transposed once for the loop).  A scalar or short
+    f result is broadcast to the shape of y by the addition, as
     ``eval_f`` does.
     """
     if spec.f_ignores_y:
@@ -142,21 +144,36 @@ def _frozen_rhs(spec, w):
             spec.a_constant, dtype=float).reshape(spec.n, spec.n)
         return Affine(A, _forcing(spec, w))
 
+    f = _frozen_f(spec, w)
     if spec.a_constant is None:
         def rhs(t, y):
-            return y @ spec.eval_A(t).T + spec.eval_f(t, y, w)
+            return y @ spec.eval_A(t).T + f(t, y)
 
         return rhs
 
     AT = np.asarray(spec.a_constant, dtype=float).reshape(spec.n, spec.n).T
-    f = spec.f
 
     def rhs_const(t, y):
         dy = y @ AT
-        dy += f(t, y, w)  # broadcasts a scalar or short f result, as eval_f does
+        dy += f(t, y)
         return dy
 
     return rhs_const
+
+
+def _frozen_f(spec, w):
+    """t, y -> f(t, y, w) for the step loop, with w frozen.
+
+    A config f has a fold hook (``f.fold``): the function it returns has
+    every subexpression that reads only w evaluated once, here, instead of
+    at every RK4 stage, with the same bits and the same domain errors.
+    Any other f is called as it is, with w.
+    """
+    fold = getattr(spec.f, "fold", None)
+    if fold is not None:
+        return fold(w)
+    f = spec.f
+    return lambda t, y: f(t, y, w)
 
 
 def _forcing(spec, w):
@@ -296,9 +313,33 @@ def _residual(F, x_target):
     return r, rn
 
 
-def _newton(phi, x_target, starts, tol_abs, max_iter, max_halvings, decrease):
-    """Batched damped Newton for phi(x) = x_target from the rows of starts;
-    returns the last points and their residual norms.
+@dataclass
+class _NewtonRows:
+    """The rows of a Newton run: points X, residuals r = phi(X) - x_target,
+    their norms rn, Jacobians J, and ``fresh``, whether J[q] is the
+    Jacobian at X[q] (not for a row last moved by a halving)."""
+
+    X: np.ndarray
+    r: np.ndarray
+    rn: np.ndarray
+    J: np.ndarray
+    fresh: np.ndarray
+
+    @classmethod
+    def at(cls, phi, x_target, X):
+        """The rows at the points X, from one phi call with their probes."""
+        X = X.astype(float)
+        F, J = _fd_jacobian(phi, X)
+        return cls(X, *_residual(F, x_target), J, np.ones(len(X), dtype=bool))
+
+    def take(self, rows):
+        return _NewtonRows(self.X[rows], self.r[rows], self.rn[rows], self.J[rows],
+                           self.fresh[rows])
+
+
+def _newton(phi, x_target, rows, tol_abs, max_iter, max_halvings, decrease):
+    """Batched damped Newton for phi(x) = x_target from ``rows``, a
+    ``_NewtonRows``, which it advances in place and returns.
 
     A trial is accepted when its residual is below ``(1 - decrease)``
     times the row's or meets ``tol_abs``; a row stops when it meets
@@ -307,13 +348,11 @@ def _newton(phi, x_target, starts, tol_abs, max_iter, max_halvings, decrease):
     evaluated with their probes, so an accepted one carries its next
     Jacobian and an iteration without halvings makes one phi call.
     Halvings go in one call without probes; the rows they move get their
-    Jacobians in one call at the next iteration.
+    Jacobians in one call at the next iteration (or at the first
+    iteration of a later run from the same rows).
     """
-    n = starts.shape[1]
-    X = starts.astype(float)
-    F, J = _fd_jacobian(phi, X)
-    r, rn = _residual(F, x_target)
-    fresh = np.ones(len(X), dtype=bool)  # J[q] is the Jacobian at X[q]
+    X, r, rn, J, fresh = rows.X, rows.r, rows.rn, rows.J, rows.fresh
+    n = X.shape[1]
     alive = np.ones(len(X), dtype=bool)
     lams = 0.5 ** np.arange(1, max_halvings + 1)
 
@@ -364,7 +403,7 @@ def _newton(phi, x_target, starts, tol_abs, max_iter, max_halvings, decrease):
             rest = rest[~hit]
         alive[rest] = False  # stalled: no descent possible
 
-    return X, rn
+    return rows
 
 
 def back_continue_interval(spec, i, t_target, x_target, substeps=64,
@@ -378,8 +417,9 @@ def back_continue_interval(spec, i, t_target, x_target, substeps=64,
     [-R, R], R = max(10, 10*||x_target||).  The distinct roots, separated
     by the clustering radius 1e-5*(1 + ||x||), are polished together by
     the same kernel as plain Newton (tolerance 0, no halvings, at most 10
-    steps).  An empty result is reported as classification "none" with
-    the search budget flagged as exhausted (absence of roots is not proved).
+    steps), starting from the search's residuals and Jacobians there.  An
+    empty result is reported as classification "none" with the search
+    budget flagged as exhausted (absence of roots is not proved).
     """
     grid = spec.grid
     a, b = grid.knot(i), grid.knot(i + 1)
@@ -398,25 +438,28 @@ def back_continue_interval(spec, i, t_target, x_target, substeps=64,
     tol_abs = root_tol * (1.0 + size)
 
     phi = lambda X: _phi_batch(spec, i, X, t_target, substeps)
-    X, rn = _newton(phi, x_target, starts, tol_abs, 50, 8, 1e-4)
-    root = np.isfinite(rn) & (rn <= tol_abs)
+    rows = _newton(phi, x_target, _NewtonRows.at(phi, x_target, starts), tol_abs, 50, 8, 1e-4)
+    roots = np.flatnonzero(np.isfinite(rows.rn) & (rows.rn <= tol_abs))
 
-    def dedupe(items):
-        # smallest-norm first, greedy by the clustering radius
-        items = sorted(items, key=lambda xr: (np.linalg.norm(xr[0]), tuple(xr[0])))
+    def dedupe(X):
+        # indices of the rows kept: smallest-norm first, greedy by the
+        # clustering radius
+        order = sorted(range(len(X)), key=lambda q: (np.linalg.norm(X[q]), tuple(X[q])))
         kept = []
-        for x, rq in items:
-            radius = 1e-5 * (1.0 + np.linalg.norm(x))
-            if all(np.linalg.norm(x - p) > radius for p, _ in kept):
-                kept.append((x, float(rq)))
+        for q in order:
+            radius = 1e-5 * (1.0 + np.linalg.norm(X[q]))
+            if all(np.linalg.norm(X[q] - X[p]) > radius for p in kept):
+                kept.append(q)
         return kept
 
-    kept = dedupe(zip(X[root], rn[root]))
-    if kept:
-        X, rn = _newton(phi, x_target, np.array([x for x, _ in kept]), 0.0, 10, 0, 0.0)
-        kept = dedupe(zip(X, rn))
-    preimages = [x for x, _ in kept]
-    residuals = [rq for _, rq in kept]
+    kept = roots[dedupe(rows.X[roots])]
+    if len(kept):
+        # the search's values at its roots seed the polish, so only the
+        # Jacobians of roots last moved by a halving are evaluated again
+        rows = _newton(phi, x_target, rows.take(kept), 0.0, 10, 0, 0.0)
+        kept = dedupe(rows.X)
+    preimages = [rows.X[q] for q in kept]
+    residuals = [float(rows.rn[q]) for q in kept]
     classification = {0: "none", 1: "unique"}.get(len(preimages), "multiple")
     return PreimageSet(
         interval=i, t_target=float(t_target), x_target=x_target,

@@ -15,6 +15,12 @@ takes scalar t and returns an (n, n) matrix.  When f does not read y
 (``f_ignores_y``), f must also broadcast a (T, 1)-shaped t against (m, n)
 arguments (a (T,)-shaped t against (n,) ones) to give (T, m, n) (or
 (T, n)): the solver samples it at every RK4 stage time in one call.
+
+A config file's f also has a fold hook, ``f.fold``: ``f.fold(w)`` is the
+function (t, y) -> f(t, y, w) with every subexpression that reads only w
+(or constants) evaluated once, when it is made.  The solver's step loop
+uses it, since w is frozen between two knots; its values and domain
+errors are those of f.  An f without the hook is called whole.
 """
 
 import math
@@ -223,20 +229,37 @@ def _build_matrix_eval(entries, n):
 
 
 def _build_f_eval(trees, n):
-    """f(t, y, w) evaluator from per-component ExpressionTrees."""
+    """f(t, y, w) evaluator from per-component ExpressionTrees.
 
-    def f(t, y, w):
+    Its ``fold`` attribute is the fold hook w -> (t, y -> f(t, y, w)): the
+    function it returns evaluates the subtrees of each tree that read only
+    w (or nothing) once, when it is made, and the rest at each call, with
+    the same bits and the same domain errors as f.
+    """
+
+    def evaluate(components, t, y, env):
         y = np.asarray(y, dtype=float)
-        w = np.asarray(w, dtype=float)
-        env = {"t": np.asarray(t, dtype=float)}
+        env["t"] = np.asarray(t, dtype=float)
         for k in range(n):
             env[f"y{k + 1}"] = y[..., k]
-            env[f"w{k + 1}"] = w[..., k]
         out = np.empty(np.broadcast(env["t"], y[..., 0]).shape + (n,))
-        for k, tree in enumerate(trees):
+        for k, tree in enumerate(components):
             out[..., k] = tree.eval(env)
         return out
 
+    def frozen(w):
+        w = np.asarray(w, dtype=float)
+        return {f"w{k + 1}": w[..., k] for k in range(n)}
+
+    def f(t, y, w):
+        return evaluate(trees, t, y, frozen(w))
+
+    def fold(w):
+        env = frozen(w)
+        folded = [tree.partial(env) for tree in trees]
+        return lambda t, y: evaluate(folded, t, y, {})
+
+    f.fold = fold
     return f
 
 
@@ -258,6 +281,8 @@ def _run_overrides(sections):
 def check_run_value(key, value, name=None):
     """ConfigError unless a [run]/[tolerances] value, from config or from
     the command-line flag ``name``, is within its documented bounds."""
+    if key == "seed" and value < 0:
+        raise ConfigError(f"{name or key} = {value} out of documented bounds: must be >= 0")
     if key == "substeps" and not 2 <= value <= 4096:
         raise ConfigError(f"{name or key} = {value} out of documented bounds [2, 4096]")
     if key.endswith("_tol") and not 0 < value <= 1e-2:

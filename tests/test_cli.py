@@ -392,3 +392,27 @@ def test_config_run_and_tolerance_overrides(tmp_path):
     cfg_unknown = tmp_path / "unk.cfg"
     cfg_unknown.write_text(CONFIG + "\n[run]\nbogus = 1\n")
     assert run(["bounded", str(cfg_unknown), "-o", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--only", "1"],
+    ["bounded", "--problem", "forced-scalar", "--window", "0", "3"],
+], ids=["verify", "bounded"])
+def test_negative_seed_flag_is_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code = run(argv + ["--seed", "-1", "-o", str(out), "--stamp", "T"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed = -1 ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_negative_seed_in_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "seeded.cfg"
+    cfg.write_text(CONFIG + "\n[run]\nseed = -1\n")
+    out = tmp_path / "out"
+    code = run(["bounded", str(cfg), "--window", "0", "3", "-o", str(out), "--stamp", "T"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed = -1 ") and "Traceback" not in err
+    assert not out.exists()

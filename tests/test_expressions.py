@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epcag_lab.errors import EvaluationError, ExpressionError
 from epcag_lab.expressions import parse_expression
@@ -126,3 +128,140 @@ def test_free_variable_tracking_and_determinism():
     assert tree.eval(env) == tree.eval(env)
     with pytest.raises(EvaluationError):
         tree.eval({})
+
+
+def _same(a, b):
+    """Equal shape, dtype and bytes (NaN payloads included)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _outcome(evaluate):
+    """The value of ``evaluate()``, or the message of its EvaluationError."""
+    try:
+        with np.errstate(all="ignore"):
+            return evaluate()
+    except EvaluationError as exc:
+        return str(exc)
+
+
+def _assert_fold_matches(tree, t, y, w):
+    """The tree folded over w, then evaluated at (t, y), gives what it
+    gives evaluated at (t, y, w) at once: the same bits or the same error."""
+    w_env = {"w1": w[..., 0], "w2": w[..., 1]}
+    y_env = {"t": t, "y1": y[..., 0], "y2": y[..., 1]}
+    folded = tree.partial(w_env)
+    assert not folded.variables & {"w1", "w2"}
+    want = _outcome(lambda: tree.eval({**y_env, **w_env}))
+    got = _outcome(lambda: folded.eval(y_env))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert _same(got, want)
+    return want
+
+
+FOLD_CASES = [
+    "0.02*sin(w2) + 0.01*y2*cos(t)",          # perfbench n = 2 f1
+    "0.01/(1 + w1^2) + 0.001*y1/w1",          # perfbench domain-error f1
+    "0.01*cos(w1) - 0.01*sin(y1)",            # perfbench n = 2 f2
+    "-exp(-w1)*log(1 + w2^2) + pi*y1^2 - abs(w2)^pi + -(-t)",
+    "(2^3 - 1/4)*y1 + (pi - 1)*w1",           # constants-only subtrees
+    "sin(w1)",
+    "3.5",
+]
+
+
+@pytest.mark.parametrize("src", FOLD_CASES)
+def test_partial_over_w_matches_full_evaluation_bit_for_bit(src):
+    tree = parse_expression(src, VARS)
+    rng = np.random.default_rng(11)
+    y, w = rng.uniform(-2, 2, (2, 9, 2))
+    for t in (0.7, np.float64(-1.3)):
+        _assert_fold_matches(tree, t, y, w)                 # batched (m, n)
+        for q in range(3):
+            _assert_fold_matches(tree, t, y[q], w[q])       # one state (n,)
+
+
+def test_partial_folds_constants_only_subtrees():
+    tree = parse_expression("(2^3 - 1/4)*y1 + pi*2", VARS)
+    folded = tree.partial({})
+    assert folded.variables == {"y1"}
+    left, right = folded.root[3], folded.root[4]
+    assert left[3][0] == "num" and left[3][1] == 2.0 ** 3 - 1.0 / 4.0
+    assert right[0] == "num" and right[1] == np.pi * 2
+    for y1 in (0.3, np.linspace(-1, 1, 5)):
+        assert _same(folded.eval({"y1": y1}), tree.eval({"y1": y1}))
+
+
+def test_partial_leaves_names_outside_env():
+    tree = parse_expression("sin(w1)*y1 + t*w2", VARS)
+    assert tree.partial({"w1": 0.5}).variables == {"y1", "t", "w2"}
+    assert tree.partial({"w1": 0.5, "w2": 1.0}).variables == {"y1", "t"}
+    assert tree.variables == {"w1", "w2", "y1", "t"}
+
+
+@pytest.mark.parametrize("src, bad", [
+    ("y1 + log(w1)", [True, True, False]),
+    ("y1*(1/w1)", [True, False, False]),
+    ("y2 - w1^0.5", [False, True, False]),
+    ("log(1/w1) + y1", [True, True, False]),
+])
+def test_domain_error_inside_a_w_subtree_is_kept(src, bad):
+    tree = parse_expression(src, VARS)
+    # a batch: the bad rows are NaN on both paths, the others bit for bit
+    w = np.array([[0.0, 1.0], [-1.0, 2.0], [4.0, 0.5]])
+    y = np.full((3, 2), 0.25)
+    got = _assert_fold_matches(tree, 0.5, y, w)
+    assert np.array_equal(np.isnan(got), bad)
+    # one state: the fold raises nothing and evaluation raises the same error
+    for wq in w[bad]:
+        message = _assert_fold_matches(tree, 0.5, y[0], wq)
+        assert isinstance(message, str) and "column" in message
+
+
+def test_y_subtree_left_of_a_raising_w_subtree_raises_first():
+    tree = parse_expression("log(y1) + 1/w1", VARS)
+    folded = tree.partial({"w1": 0.0})
+    with pytest.raises(EvaluationError, match="log of non-positive value at line 1, column 1"):
+        folded.eval({"y1": -1.0})
+    with pytest.raises(EvaluationError, match="division by zero at line 1, column 12"):
+        folded.eval({"y1": 1.0})
+    for y1 in (-1.0, 1.0):
+        assert _outcome(lambda: folded.eval({"y1": y1})) == _outcome(
+            lambda: tree.eval({"y1": y1, "w1": 0.0}))
+
+
+# random expressions over t, y1 and w1, with every operation and function
+_LEAVES = st.one_of(
+    st.sampled_from(["t", "y1", "w1", "pi"]),
+    st.floats(0.0, 4.0, allow_nan=False).map(lambda x: f"{x:.3g}"),
+)
+
+
+def _extend(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map(lambda a: f"({a[0]} {a[1]} {a[2]})"),
+        inner.map(lambda a: f"-{a}"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "log", "abs"]), inner).map(
+            lambda a: f"{a[0]}({a[1]})"),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(src=st.recursive(_LEAVES, _extend, max_leaves=12),
+       t=st.floats(-2.0, 2.0), y1=st.floats(-2.0, 2.0), w1=st.floats(-2.0, 2.0))
+def test_partial_over_w1_matches_full_evaluation_on_random_expressions(src, t, y1, w1):
+    tree = parse_expression(src, ["t", "y1", "w1"])
+    ys = np.array([y1, 0.0, -y1, 1.5])
+    ws = np.array([w1, 0.0, 1.0, -w1])
+    for y, w in ((y1, w1), (ys, ws), (y1, ws), (ys, w1)):
+        with np.errstate(all="ignore"):
+            folded = tree.partial({"w1": w})
+        assert "w1" not in folded.variables
+        want = _outcome(lambda: tree.eval({"t": t, "y1": y, "w1": w}))
+        got = _outcome(lambda: folded.eval({"t": t, "y1": y}))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert _same(got, want)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epcag_lab import solver
+from epcag_lab import expressions, integrate, solver
 from epcag_lab.errors import BlowUpError, EpcagError, InvalidParameterError
 from epcag_lab.grid import make_uniform_grid
 from epcag_lab.solver import (
@@ -607,7 +607,8 @@ def _calls_per_iteration(monkeypatch, n, starts):
     per_iteration, seen = [], 1  # the first call evaluates the starts
     for max_iter in range(1, 30):
         calls.clear()
-        solver._newton(phi, np.array(x_target), np.array(starts), 1e-9, max_iter, 8, 1e-4)
+        rows = solver._NewtonRows.at(phi, np.array(x_target), np.array(starts))
+        solver._newton(phi, np.array(x_target), rows, 1e-9, max_iter, 8, 1e-4)
         assert calls[0] == (2 * n + 1) * len(starts)
         if len(calls) == seen:
             return per_iteration
@@ -637,15 +638,105 @@ def test_polish_of_k_roots_makes_one_phi_call_per_step(monkeypatch, n):
     make, x_target, starts = _PROBE_CASES[n][:3]
     phi, calls = _counting_phi(monkeypatch, make(), 0, 1.0)
     x_target = np.array(x_target)
-    X, rn = solver._newton(phi, x_target, np.array(starts), 1e-9, 50, 8, 1e-4)
-    roots = X[rn <= 1e-9]
+    rows = solver._NewtonRows.at(phi, x_target, np.array(starts))
+    rows = solver._newton(phi, x_target, rows, 1e-9, 50, 8, 1e-4)
+    roots = rows.X[rows.rn <= 1e-9]
     assert len(roots)
     # points a few Newton steps away from the roots, so that no step stalls
     near = np.concatenate([roots + 1e-3, roots - 1e-3])
     for steps in (1, 2, 3):
         calls.clear()
-        solver._newton(phi, x_target, near, 0.0, steps, 0, 0.0)
+        solver._newton(phi, x_target, solver._NewtonRows.at(phi, x_target, near),
+                       0.0, steps, 0, 0.0)
         assert calls == [(2 * n + 1) * len(near)] * (steps + 1)
+
+
+def test_polish_starts_from_the_search_values_at_its_roots(monkeypatch):
+    # the kept root came from a full step, so its Jacobian is fresh and the
+    # polish makes one call fewer than it would from a new evaluation
+    spec = parse_system(N2_CONFIG)
+    target = solve_forward(spec, 0.0, [0.7, -1.2], 1.0).ys[-1]
+    phi, calls = _counting_phi(monkeypatch, spec, 0, 1.0)
+    newton, runs = solver._newton, []
+
+    def logged(phi, x_target, rows, *budget):
+        start, before = rows.take(np.arange(len(rows.X))), len(calls)
+        out = newton(phi, x_target, rows, *budget)
+        runs.append((start, budget, len(calls) - before))
+        return out
+
+    monkeypatch.setattr(solver, "_newton", logged)
+    ps = back_continue_interval(spec, 0, 1.0, target)
+    (_, _, search_calls), (start, budget, polish_calls) = runs
+    assert ps.classification == "unique"
+    assert budget == (0.0, 10, 0, 0.0) and start.fresh.all()
+    assert len(calls) == 1 + search_calls + polish_calls  # 1: the starts
+
+    calls.clear()
+    again = newton(phi, target, solver._NewtonRows.at(phi, target, start.X), *budget)
+    assert len(calls) == polish_calls + 1
+    assert np.array_equal(again.X[0], ps.preimages[0])
+    assert float(again.rn[0]) == ps.residuals[0]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_polish_evaluates_only_the_stale_jacobians_again(monkeypatch, n):
+    make, x_target, starts = _PROBE_CASES[n][:3]
+    phi, calls = _counting_phi(monkeypatch, make(), 0, 1.0)
+    x_target = np.array(x_target)
+    near = np.array(starts, dtype=float) * 0.999
+    want = solver._newton(phi, x_target, solver._NewtonRows.at(phi, x_target, near),
+                          0.0, 3, 0, 0.0)
+    rows = solver._NewtonRows.at(phi, x_target, near)
+    rows.fresh[1:] = False  # as if moved by a halving
+    calls.clear()
+    got = solver._newton(phi, x_target, rows, 0.0, 3, 0, 0.0)
+    assert calls[0] == (2 * n + 1) * (len(near) - 1)  # the stale rows' Jacobians
+    assert np.array_equal(got.X, want.X) and np.array_equal(got.rn, want.rn)
+
+
+def _var_lookups(monkeypatch):
+    """Names of the variables that expression evaluation looks up, in order."""
+    seen, inner = [], expressions._eval
+
+    def spy(node, env):
+        if node[0] == "var":
+            seen.append(node[1])
+        return inner(node, env)
+
+    monkeypatch.setattr(expressions, "_eval", spy)
+    return seen
+
+
+TV_N2_CONFIG = N2_CONFIG.replace("A11 = -0.5", "A11 = -0.5 + 0.1*sin(t)")
+
+
+@pytest.mark.parametrize("config", [N2_CONFIG, TV_N2_CONFIG], ids=["constant-A", "time-varying-A"])
+def test_phi_batch_of_a_config_f_looks_up_w_only_in_the_fold(monkeypatch, config):
+    spec = parse_system(config)
+    X = np.random.default_rng(3).uniform(-2.0, 2.0, (25, 2))
+    # the step loop as it was, with f evaluated whole at every stage
+    rhs = lambda t, y: y @ spec.eval_A(t).T + spec.eval_f(t, y, X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = integrate.rk4_final(rhs, 0.0, X, 1.0, 64)
+    seen = _var_lookups(monkeypatch)
+    got = solver._phi_batch(spec, 0, X, 1.0, 64)
+    assert got.tobytes() == want.tobytes()
+    # every stage evaluates the y and t subtrees, and none reads w
+    assert seen.count("y1") == seen.count("y2") == 4 * 64
+    assert not any(name.startswith("w") for name in seen)
+
+
+def test_phi_batch_of_an_api_f_evaluates_it_whole_at_every_stage(monkeypatch):
+    config = parse_system(N2_CONFIG)
+    # the same f as a plain callable, which has no fold hook
+    spec = dataclasses.replace(config, f=lambda t, y, w: config.f(t, y, w))
+    X = np.random.default_rng(3).uniform(-2.0, 2.0, (25, 2))
+    want = solver._phi_batch(config, 0, X, 1.0, 64)
+    seen = _var_lookups(monkeypatch)
+    got = solver._phi_batch(spec, 0, X, 1.0, 64)
+    assert got.tobytes() == want.tobytes()
+    assert seen.count("w1") == seen.count("w2") == 4 * 64
 
 
 def test_target_whose_norm_overflows_has_no_preimage():

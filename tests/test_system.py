@@ -344,3 +344,66 @@ def test_vectorized_f_contract():
         batched_t = spec.eval_f(ts, y, w)
         for j in range(7):
             assert np.allclose(batched_t[j], spec.eval_f(ts[j], y[j], w[j]))
+
+
+# the n = 2 systems of the backward benchmark: f1 reads y and w, and the
+# second f1 divides by w1, which is 0 on the multi-start lattice
+BENCH_N2_CONFIG = """
+[system]
+n = 2
+A11 = -0.5
+A12 = 0.3
+A21 = -0.2
+A22 = 0.4
+f1 = {f1}
+f2 = 0.01*cos(w1) - 0.01*sin(y1)
+[grid]
+step = 1.0
+window = 0 4
+[constants]
+mu = 0.75
+lip = 0.03
+"""
+BENCH_N2_F1 = ["0.02*sin(w2) + 0.01*y2*cos(t)", "0.01/(1 + w1^2) + 0.001*y1/w1",
+         "-exp(-w1)*log(1 + w2^2) + pi*y1^2 - abs(w2)^pi + (2^3 - 1/4)*t"]
+
+
+def _f_outcome(f, *args):
+    try:
+        with np.errstate(all="ignore"):
+            return f(*args)
+    except EvaluationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("f1", BENCH_N2_F1)
+def test_config_f_fold_matches_f_bit_for_bit(f1):
+    f = parse_system(BENCH_N2_CONFIG.format(f1=f1)).f
+    rng = np.random.default_rng(6)
+    y, w = rng.uniform(-2.0, 2.0, (2, 11, 2))
+    w[3, 0] = 0.0  # a domain error of the second f1
+    for t in (0.0, 0.4, np.float64(0.9)):
+        want = f(t, y, w)
+        got = f.fold(w)(t, y)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for q in range(len(y)):
+            want_q = _f_outcome(f, t, y[q], w[q])
+            got_q = _f_outcome(f.fold(w[q]), t, y[q])
+            if isinstance(want_q, str):
+                assert got_q == want_q
+            else:
+                assert got_q.shape == (2,) and got_q.tobytes() == want_q.tobytes()
+
+
+def test_config_f_fold_keeps_the_domain_error_of_one_state():
+    f = parse_system(BENCH_N2_CONFIG.format(f1="0.01/(1 + w1^2) + 0.001*y1/w1")).f
+    # a batch: the row with w1 = 0 is NaN, the other is finite
+    out = f.fold(np.array([[0.0, 0.3], [0.5, 0.1]]))(0.5, np.array([[0.2, 0.1], [0.2, 0.1]]))
+    assert np.isnan(out[0, 0]) and np.isfinite(out[0, 1]) and np.isfinite(out[1]).all()
+    # one state: the same message, naming the same line and column
+    folded = f.fold(np.array([0.0, 0.3]))
+    with pytest.raises(EvaluationError) as exc:
+        folded(0.5, np.array([0.2, 0.1]))
+    with pytest.raises(EvaluationError) as want:
+        f(0.5, np.array([0.2, 0.1]), np.array([0.0, 0.3]))
+    assert str(exc.value) == str(want.value) == "division by zero at line 8, column 32"
