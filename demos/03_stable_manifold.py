@@ -13,7 +13,6 @@ import numpy as np
 
 from epcag_lab import (
     ManifoldFn,
-    dichotomy_for_constant_A,
     get_problem,
     invariance_check,
     off_manifold_diagnose,
@@ -23,7 +22,7 @@ from epcag_lab import (
 )
 
 spec = get_problem("diag-dichotomy", coupling=0.02)
-red = reduce(spec, dichotomy_for_constant_A(spec.a_constant))
+red = reduce(spec)
 print(f"reduced system: contracting dim {red.k}, expanding dim {red.m}, "
       f"L = {red.L}, K = {red.K}, sigma = {red.sigma}")
 

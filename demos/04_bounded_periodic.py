@@ -11,7 +11,6 @@ import numpy as np
 
 from epcag_lab import (
     bounded_solution,
-    dichotomy_for_constant_A,
     get_problem,
     periodic_solution,
     periodicity_params,
@@ -20,8 +19,7 @@ from epcag_lab import (
 
 
 def reduced(name, **kw):
-    spec = get_problem(name, **kw)
-    return reduce(spec, dichotomy_for_constant_A(spec.a_constant))
+    return reduce(get_problem(name, **kw))
 
 
 print("u' = -u + 0.5: the bounded solution is the constant 0.5")

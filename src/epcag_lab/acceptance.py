@@ -19,7 +19,6 @@ from .grid import make_uniform_grid
 from .linear import (
     check_backward_uniqueness,
     check_smallness,
-    dichotomy_for_constant_A,
     verify_flow_bounds,
 )
 from .manifold import (
@@ -211,7 +210,7 @@ def c05_inequality_checkers(seed=0):
 
 def _diag_reduced(**kw):
     spec = get_problem("diag-dichotomy", **kw)
-    return reduce_system(spec, dichotomy_for_constant_A(spec.a_constant))
+    return reduce_system(spec)
 
 
 def c06_manifold_zero(seed=0):
@@ -303,7 +302,7 @@ def c10_jacobian_smoothness(seed=0):
             count += 1
     # degenerate split dimensions give empty derivative blocks
     fs = get_problem("forced-scalar", level=0.0, feedback=0.05)
-    red_fs = reduce_system(fs, dichotomy_for_constant_A(fs.a_constant))
+    red_fs = reduce_system(fs)
     shape_ok = ManifoldFn(red_fs, "stable", params).jacobian(0.0, [0.3]).shape == (0, 1)
     return worst <= 1e-4 and count == 20 and shape_ok, {
         "worst_rel_error": worst, "points": count, "empty_shape_ok": shape_ok,
@@ -314,14 +313,14 @@ def c11_bounded_solution(seed=0):
     """Constant forcing settles at 0.5 with every certificate intact."""
     quad_tol = 1e-9  # matches the steady-solve stop tolerance
     fs = get_problem("forced-scalar")
-    red = reduce_system(fs, dichotomy_for_constant_A(fs.a_constant))
+    red = reduce_system(fs)
     res = bounded_solution(red, window=(0.0, 5.0), seed=seed)
     err = float(np.abs(res.zs - 0.5).max())
     ok = (err <= 1e-8 and res.sup_norm <= res.bound + quad_tol
           and res.probe_residual <= 1e-8)
     # weak frozen feedback: geometric iterate bound and first-iterate bound
     fsf = get_problem("forced-scalar", feedback=0.1)
-    redf = reduce_system(fsf, dichotomy_for_constant_A(fsf.a_constant))
+    redf = reduce_system(fsf)
     resf = bounded_solution(redf, window=(0.0, 5.0), seed=seed,
                             store_iterates=True)
     K, s, L, H = 1.0, 1.0, redf.L, resf.H
@@ -340,7 +339,7 @@ def c11_bounded_solution(seed=0):
 def c12_periodic_solution(seed=0):
     """periodic-coupled yields (k, m) = (2, 1) and a 1-periodic solution."""
     pc = get_problem("periodic-coupled")
-    red = reduce_system(pc, dichotomy_for_constant_A(pc.a_constant))
+    red = reduce_system(pc)
     res = periodic_solution(red, params=SteadyParams(tol=1e-9))
     km_ok = (res.pparams.k, res.pparams.m) == (2, 1)
     res_ok = res.residual <= 1e-6

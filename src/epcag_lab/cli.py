@@ -3,8 +3,10 @@
 Subcommands: simulate, backcontinue, manifold, bounded, periodic, check,
 reduce, verify.  Systems come from the built-in registry (--problem) or a
 config file given as positional argument.  Artifacts are CSV plus a
-versioned JSON report; exit codes: 0 success, 1 config error,
-2 no preimage, 3 integration failure, 4 condition-check failure.
+versioned JSON report; exit codes: 0 success, 2 no preimage, 4 a failed
+verdict of check/verify, and otherwise the ``exit_code`` of the raised
+``EpcagError`` (1 by default, 3 integration failure, 4 condition-check
+failure).
 """
 
 import argparse
@@ -15,17 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .errors import (
-    ConditionError,
-    ConfigError,
-    EpcagError,
-    ExpressionError,
-    IntegrationFailureError,
-    InvalidParameterError,
-    NoDichotomyError,
-    OutOfWindowError,
-    UnsupportedSystemError,
-)
+from .errors import ConditionError, ConfigError, EpcagError, InvalidParameterError, NoDichotomyError
 from .linear import check_backward_uniqueness, check_smallness, dichotomy_for_constant_A
 from .manifold import ManifoldFn, ManifoldParams, picard_stable, picard_unstable
 from .reduction import propagators, reduce
@@ -35,10 +27,7 @@ from .steady import SteadyParams, bounded_solution, periodic_solution
 from .system import check_run_value, get_problem, parse_config
 
 EXIT_OK = 0
-EXIT_CONFIG = 1
 EXIT_NO_PREIMAGE = 2
-EXIT_INTEGRATION = 3
-EXIT_CONDITION = 4
 
 
 def _vector(text):
@@ -64,17 +53,21 @@ def _load_spec(args):
     """Resolve the system plus any [run]/[tolerances] config overrides.
 
     Explicit command-line flags win over config values, which win over
-    the built-in defaults.
+    the built-in defaults.  The seed is checked here, so a bad one fails
+    before any work is done or printed.
     """
     if getattr(args, "problem", None):
-        return get_problem(args.problem), args.problem
-    if getattr(args, "config", None):
+        spec, name = get_problem(args.problem), args.problem
+    elif getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         spec, args._config_overrides = parse_config(path.read_text())
-        return spec, path.stem
-    raise ConfigError("supply --problem NAME or a config file path")
+        name = path.stem
+    else:
+        raise ConfigError("supply --problem NAME or a config file path")
+    _seed(args)
+    return spec, name
 
 
 def _resolved(args, flag, config_key, default):
@@ -94,13 +87,23 @@ def _seed(args):
     return _resolved(args, "seed", "seed", 0)
 
 
-def _reduced(spec):
-    if spec.a_constant is None:
-        raise UnsupportedSystemError(
-            "reduction requires a constant coefficient matrix (or an already "
-            "box-diagonal one with explicit dichotomy data)"
-        )
-    return reduce(spec, dichotomy_for_constant_A(spec.a_constant))
+def _report(args, name, results, table=None, extra=None):
+    """Write the command's JSON report, with its (header, rows) ``table``
+    as CSV and ``extra`` as auxiliary CSV tables, and name the files when
+    a table was written.  Every subcommand calls this last, so a command
+    that fails writes no file."""
+    header, rows = table or (None, None)
+    _, paths = emit_report(_outdir(args), args.command, name, results,
+                           params=vars_of(args), seed=_seed(args), csv_header=header,
+                           csv_rows=rows, stamp=args.stamp, extra_csv=extra)
+    if table is not None:
+        print(f"wrote {paths['csv']} and {paths['json']}")
+
+
+def _z_table(ts, zs):
+    """The t, z1..zn table of a reduced-coordinate trajectory."""
+    return (["t"] + [f"z{k + 1}" for k in range(zs.shape[1])],
+            [[t, *z] for t, z in zip(ts, zs)])
 
 
 def _path_rows(path):
@@ -120,17 +123,13 @@ def cmd_simulate(args):
     path = solve_forward(spec, args.t0, _vector(args.x0), args.t_end,
                          substeps=_resolved(args, "substeps", "substeps", 64),
                          w0=w0)
-    header, rows = _path_rows(path)
     results = {
         "t0": path.t0, "t_end": path.t_end,
         "final_state": path.ys[-1], "segments": path.diagnostics["segments"],
     }
-    _, paths = emit_report(_outdir(args), "simulate", name, results,
-                           params=vars_of(args), seed=_seed(args),
-                           csv_header=header, csv_rows=rows, stamp=args.stamp)
     print(f"simulated {name} on [{path.t0:g}, {path.t_end:g}]; "
           f"final state {np.array2string(path.ys[-1], precision=6)}")
-    print(f"wrote {paths['csv']} and {paths['json']}")
+    _report(args, name, results, _path_rows(path))
     return EXIT_OK
 
 
@@ -151,26 +150,21 @@ def cmd_backcontinue(args):
             for s in res.steps
         ],
     }
-    if res.ok:
-        header, rows = _path_rows(res.path)
-        _, paths = emit_report(_outdir(args), "backcontinue", name, results,
-                               params=vars_of(args), seed=_seed(args),
-                               csv_header=header, csv_rows=rows, stamp=args.stamp)
-        print(f"backward continuation reached t={res.path.t0:g} "
-              f"(residual {res.residual:.3g})")
-        for flag in res.flags:
-            print(f"  note: {flag}")
-        print(f"wrote {paths['csv']} and {paths['json']}")
-        return EXIT_OK
-    emit_report(_outdir(args), "backcontinue", name, results,
-                params=vars_of(args), seed=_seed(args), stamp=args.stamp)
-    print(f"no preimage at interval {res.failed_interval}; continuation died")
-    return EXIT_NO_PREIMAGE
+    if not res.ok:
+        print(f"no preimage at interval {res.failed_interval}; continuation died")
+        _report(args, name, results)
+        return EXIT_NO_PREIMAGE
+    print(f"backward continuation reached t={res.path.t0:g} "
+          f"(residual {res.residual:.3g})")
+    for flag in res.flags:
+        print(f"  note: {flag}")
+    _report(args, name, results, _path_rows(res.path))
+    return EXIT_OK
 
 
 def cmd_manifold(args):
     spec, name = _load_spec(args)
-    red = _reduced(spec)
+    red = reduce(spec)
     params = ManifoldParams(
         alpha=args.alpha, eps=args.eps,
         tol=_resolved(args, "tol", "picard_tol", 1e-8),
@@ -198,59 +192,46 @@ def cmd_manifold(args):
         sweep.append({"c": c, "value": res.f_value, "iterations": res.iterations,
                       "contraction_ratio": ratio, "decay_ok": res.decay_ok,
                       "in_contraction_regime": res.in_contraction_regime})
-        traj_header = ["t"] + [f"z{k + 1}" for k in range(red.n)]
-        traj_rows = [[t, *z] for t, z in zip(res.ts, res.zs)]
-        extra[f"trajectory-{idx:03d}"] = (traj_header, traj_rows)
+        extra[f"trajectory-{idx:03d}"] = _z_table(res.ts, res.zs)
     dim = len(cs[0])
     header = ([f"c{k + 1}" for k in range(dim)]
               + [f"F{k + 1}" for k in range(len(sweep[0]["value"]))]
               + ["iterations", "contraction_ratio"])
     results = {"side": args.side, "t0": args.t0, "points": sweep}
-    _, paths = emit_report(_outdir(args), "manifold", name, results,
-                           params=vars_of(args), seed=_seed(args),
-                           csv_header=header, csv_rows=rows, stamp=args.stamp,
-                           extra_csv=extra)
     print(f"{args.side} manifold of {name}: {len(cs)} point(s) at t0={args.t0:g}")
     for pt in sweep:
         print(f"  c={np.array2string(pt['c'], precision=4)} -> "
               f"F={np.array2string(pt['value'], precision=8)} "
               f"({pt['iterations']} iterations)")
-    print(f"wrote {paths['csv']} and {paths['json']}")
+    _report(args, name, results, (header, rows), extra)
     return EXIT_OK
 
 
 def cmd_bounded(args):
     spec, name = _load_spec(args)
-    red = _reduced(spec)
+    red = reduce(spec)
     params = SteadyParams(tol=_resolved(args, "tol", "steady_tol", 1e-9),
                           substeps=_resolved(args, "substeps", "substeps", 64))
     window = tuple(args.window) if args.window else None
     res = bounded_solution(red, window=window, params=params, seed=_seed(args))
-    header = ["t"] + [f"z{k + 1}" for k in range(red.n)]
-    rows = [[t, *z] for t, z in zip(res.ts, res.zs)]
     results = {
         "bound": res.bound, "sup_norm": res.sup_norm,
         "iterations": res.iterations, "uniqueness_probe": res.probe_residual,
         "horizon": res.horizon, "H": res.H,
         "backward_uniqueness": res.backward_uniqueness.as_dict(),
     }
-    _, paths = emit_report(_outdir(args), "bounded", name, results,
-                           params=vars_of(args), seed=_seed(args),
-                           csv_header=header, csv_rows=rows, stamp=args.stamp)
     print(f"bounded solution of {name}: sup norm {res.sup_norm:.8g} "
           f"<= bound {res.bound:.8g}; {res.iterations} iterations")
-    print(f"wrote {paths['csv']} and {paths['json']}")
+    _report(args, name, results, _z_table(res.ts, res.zs))
     return EXIT_OK
 
 
 def cmd_periodic(args):
     spec, name = _load_spec(args)
-    red = _reduced(spec)
+    red = reduce(spec)
     params = SteadyParams(tol=_resolved(args, "tol", "steady_tol", 1e-9),
                           substeps=_resolved(args, "substeps", "substeps", 64))
     res = periodic_solution(red, params=params)
-    header = ["t"] + [f"z{k + 1}" for k in range(red.n)]
-    rows = [[t, *z] for t, z in zip(res.bounded.ts, res.bounded.zs)]
     results = {
         "k": res.pparams.k, "m": res.pparams.m, "period": res.pparams.period,
         "residual": res.residual, "certified": res.certified,
@@ -258,13 +239,10 @@ def cmd_periodic(args):
         "iterate_residuals": res.iterate_residuals,
         "bound": res.bounded.bound, "sup_norm": res.bounded.sup_norm,
     }
-    _, paths = emit_report(_outdir(args), "periodic", name, results,
-                           params=vars_of(args), seed=_seed(args),
-                           csv_header=header, csv_rows=rows, stamp=args.stamp)
     print(f"periodic solution of {name}: (k, m) = ({res.pparams.k}, "
           f"{res.pparams.m}), period {res.pparams.period:g}, "
           f"shift residual {res.residual:.3g}")
-    print(f"wrote {paths['csv']} and {paths['json']}")
+    _report(args, name, results, _z_table(res.bounded.ts, res.bounded.zs))
     return EXIT_OK
 
 
@@ -292,45 +270,42 @@ def cmd_check(args):
                 sigma = sigma if sigma is not None else dich.sigma
             except NoDichotomyError:
                 pass
+    else:
+        _seed(args)  # as _load_spec does: a bad seed fails before the table
     if mu is None or lip is None or theta is None:
         raise ConfigError("check needs --mu, --l and --theta (or a system)")
     bw = check_backward_uniqueness(mu, lip, theta)
-    table = [["inequality", "lhs", "rhs", "margin", "verdict"],
-             ["backward_uniqueness", fmt(bw.lhs), fmt(bw.rhs), fmt(bw.margin),
-              "holds" if bw.holds else "FAILS"]]
+    checks = [bw]
     results = {"backward_uniqueness": bw.as_dict(), "mu": mu, "lip": lip,
                "theta": theta}
-    if (args.problem or args.config):
+    if args.problem or args.config:
         estimated = spec.estimated_constants
         results["based_on_sampled_estimates"] = estimated
         if estimated:
             print(f"note: sampled lower-bound estimates in use for "
                   f"{', '.join(estimated)}; verdicts are based on sampled "
                   "estimates")
-    all_hold = bw.holds
     if K is not None and sigma is not None:
         alpha = args.alpha if args.alpha is not None else sigma / 2.0
         eps = args.eps if args.eps is not None else K
         L = args.L if args.L is not None else 2.0 * lip
         rep = check_smallness(K, sigma, alpha, theta, L, eps)
-        for c in rep.checks:
-            table.append([c.name, fmt(c.lhs), fmt(c.rhs), fmt(c.margin),
-                          "holds" if c.holds else "FAILS"])
+        checks = [bw, *rep.checks]
         results["smallness"] = rep.as_dict()
         results.update({"K": K, "sigma": sigma, "alpha": alpha, "eps": eps, "L": L})
-        all_hold = all_hold and rep.all_hold
     print(f"inequality check ({name}):")
-    _print_table(table)
-    emit_report(_outdir(args), "check", name, results, params=vars_of(args),
-                seed=_seed(args), stamp=args.stamp)
-    return EXIT_OK if all_hold else EXIT_CONDITION
+    _print_table([["inequality", "lhs", "rhs", "margin", "verdict"]]
+                 + [[c.name, fmt(c.lhs), fmt(c.rhs), fmt(c.margin),
+                     "holds" if c.holds else "FAILS"] for c in checks])
+    _report(args, name, results)
+    return EXIT_OK if all(c.holds for c in checks) else ConditionError.exit_code
 
 
 def cmd_reduce(args):
     if args.pairs < 1:
         raise ConfigError(f"--pairs must be at least 1, got {args.pairs}")
     spec, name = _load_spec(args)
-    red = _reduced(spec)
+    red = reduce(spec)
     sp = propagators(red, n_pairs=args.pairs, seed=_seed(args))
     rows = [["pair (t, s)", "block", "norm", "bound", "ok"]]
     rows += [[f"({a:.3f}, {b:.3f})", block, fmt(nrm), fmt(bnd), str(nrm <= bnd + 1e-7)]
@@ -344,8 +319,7 @@ def cmd_reduce(args):
         "K": red.K, "sigma": red.sigma, "u_trans": red.u_trans,
         "worst_bound_violation": sp.worst_violation,
     }
-    emit_report(_outdir(args), "reduce", name, results, params=vars_of(args),
-                seed=_seed(args), stamp=args.stamp)
+    _report(args, name, results)
     return EXIT_OK
 
 
@@ -370,12 +344,11 @@ def cmd_verify(args):
             for r in results
         ],
     }
-    emit_report(_outdir(args), "verify", "registry", payload,
-                params=vars_of(args), seed=_seed(args), stamp=args.stamp)
     total = sum(r.elapsed for r in results)
     echo(f"{sum(r.passed for r in results)}/{len(results)} criteria passed "
          f"in {total:.1f}s")
-    return EXIT_OK if payload["all_passed"] else EXIT_CONDITION
+    _report(args, "registry", payload)
+    return EXIT_OK if payload["all_passed"] else ConditionError.exit_code
 
 
 def vars_of(args):
@@ -475,19 +448,9 @@ def run(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ExpressionError, InvalidParameterError,
-            UnsupportedSystemError, NoDichotomyError, OutOfWindowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except IntegrationFailureError as exc:
-        print(f"integration failure: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
-    except ConditionError as exc:
-        print(f"condition check failed: {exc}", file=sys.stderr)
-        return EXIT_CONDITION
     except EpcagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def main():

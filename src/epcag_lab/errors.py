@@ -2,7 +2,15 @@
 
 
 class EpcagError(Exception):
-    """Base class for all errors raised by epcag-lab."""
+    """Base class for all errors raised by epcag-lab.
+
+    ``exit_code`` and ``label`` are what the command line returns and
+    prints for the error; a subclass overrides them when its class of
+    failure has an exit code of its own.
+    """
+
+    exit_code = 1
+    label = "error"
 
 
 class InvalidParameterError(EpcagError):
@@ -46,6 +54,9 @@ class UnsupportedSystemError(EpcagError):
 class IntegrationFailureError(EpcagError):
     """Numerical integration could not be completed."""
 
+    exit_code = 3
+    label = "integration failure"
+
 
 class BlowUpError(IntegrationFailureError):
     """Solution norm exceeded the overflow guard."""
@@ -66,3 +77,6 @@ class ConvergenceError(EpcagError):
 class ConditionError(EpcagError):
     """A structural hypothesis check failed (zero nonlinearity at origin,
     contraction condition, periodicity of coefficients or grid)."""
+
+    exit_code = 4
+    label = "condition check failed"

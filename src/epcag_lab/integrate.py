@@ -43,8 +43,8 @@ class Affine:
     g: object = None
 
 
-def _rk4_step(rhs, t, y, h):
-    k1 = rhs(t, y)
+def _rk4_step(rhs, t, y, h, k1):
+    """One RK4 step from (t, y), where k1 = rhs(t, y) is already known."""
     k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = rhs(t + h, y + h * k3)
@@ -244,7 +244,7 @@ def rk4_segment(rhs, t0, y0, t1, n_steps, guard=None):
     ys[0] = y
     ds[0] = rhs(t0, y)
     for j in range(n_steps):
-        y = _rk4_step(rhs, ts[j], y, h)
+        y = _rk4_step(rhs, ts[j], y, h, ds[j])
         if guard is not None and not np.all(np.abs(y) < guard):
             raise _blow_up(guard, ts[j + 1])
         ys[j + 1] = y
@@ -267,7 +267,7 @@ def rk4_final(rhs, t0, y0, t1, n_steps, guard=None):
     h = (t1 - t0) / n_steps
     t = t0
     for j in range(n_steps):
-        y = _rk4_step(rhs, t, y, h)
+        y = _rk4_step(rhs, t, y, h, rhs(t, y))
         t = t0 + (j + 1) * h
         if guard is not None and not np.all(np.abs(y) < guard):
             raise _blow_up(guard, t)

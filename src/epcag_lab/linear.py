@@ -51,7 +51,6 @@ class DichotomyData:
     K: float
     sigma: float
     k_plus: int
-    window: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -201,29 +200,20 @@ def dichotomy_for_constant_A(A):
     )
 
 
-@dataclass(frozen=True)
-class BackwardUniquenessCheck:
-    holds: bool
-    lhs: float
-    rhs: float
-    margin: float
-
-    def as_dict(self):
-        return {"holds": self.holds, "lhs": self.lhs, "rhs": self.rhs, "margin": self.margin}
-
-
 def check_backward_uniqueness(mu, lip, theta):
     """Injectivity margin of the one-interval shooting map.
 
     Evaluates lip*M*theta*(1 + M*(1+lip*theta)*exp(M*lip*theta)) against
     m with M = exp(mu*theta), m = exp(-mu*theta); holds iff lhs < rhs.
+    The verdict is the InequalityCheck named "backward_uniqueness".
     """
     if mu < 0 or lip < 0 or theta <= 0:
         raise InvalidParameterError("need mu >= 0, lip >= 0, theta > 0")
     M = math.exp(mu * theta)
     m = math.exp(-mu * theta)
     lhs = lip * M * theta * (1.0 + M * (1.0 + lip * theta) * math.exp(M * lip * theta))
-    return BackwardUniquenessCheck(holds=lhs < m, lhs=lhs, rhs=m, margin=m - lhs)
+    return InequalityCheck(name="backward_uniqueness", lhs=lhs, rhs=m,
+                           holds=lhs < m, margin=m - lhs)
 
 
 def check_smallness(K, sigma, alpha, theta, L, eps):

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedSystemError
 from .integrate import propagator
+from .linear import dichotomy_for_constant_A
 from .system import SystemSpec
 
 __all__ = ["ReducedSystem", "SplitPropagators", "reduce", "propagators"]
@@ -156,13 +157,22 @@ def _real_invariant_basis(vals, vecs, select):
     return np.stack(cols, axis=1)
 
 
-def reduce(spec, dich):
+def reduce(spec, dich=None):
     """Split a system into contracting/expanding blocks.
 
     Requires a constant coefficient matrix, or one that is already
     box-diagonal with the dichotomy projection aligned to the leading
-    coordinates; anything else raises UnsupportedSystemError.
+    coordinates; anything else raises UnsupportedSystemError.  Without
+    ``dich`` the dichotomy is the spectral one of the constant matrix
+    (``dichotomy_for_constant_A``); a time-varying A must bring its own.
     """
+    if dich is None:
+        if spec.a_constant is None:
+            raise UnsupportedSystemError(
+                "reduction requires a constant coefficient matrix (or an already "
+                "box-diagonal one with explicit dichotomy data)"
+            )
+        dich = dichotomy_for_constant_A(spec.a_constant)
     n = spec.n
     k = dich.k_plus
     m = n - k

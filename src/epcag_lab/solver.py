@@ -414,7 +414,8 @@ def back_continue_interval(spec, i, t_target, x_target, substeps=64,
     tolerance, where phi integrates the frozen-argument equation from
     (theta_i, x) to t_target.  Damped Newton (at most 50 iterations of 8
     halvings each) runs from a lattice of 17 points per coordinate spanning
-    [-R, R], R = max(10, 10*||x_target||).  The distinct roots, separated
+    [-R, R], R = min(max(10, 10*||x_target||), 1e307), so the lattice
+    stays finite for any finite target.  The distinct roots, separated
     by the clustering radius 1e-5*(1 + ||x||), are polished together by
     the same kernel as plain Newton (tolerance 0, no halvings, at most 10
     steps), starting from the search's residuals and Jacobians there.  An
@@ -431,7 +432,7 @@ def back_continue_interval(spec, i, t_target, x_target, substeps=64,
     with np.errstate(over="ignore"):
         size = float(np.linalg.norm(x_target))
     size = size if math.isfinite(size) else math.hypot(*x_target)  # squares overflowed
-    R = max(10.0, 10.0 * size)
+    R = min(max(10.0, 10.0 * size), 1e307)  # 2R stays finite for linspace
     axes = [np.linspace(-R, R, 17)] * spec.n
     mesh = np.meshgrid(*axes, indexing="ij")
     starts = np.stack([m.ravel() for m in mesh], axis=1)

@@ -29,6 +29,7 @@ import numpy as np
 from ._quadrature import IntegralOperator
 from .errors import ConditionError, InvalidParameterError
 from .expressions import raise_at_first_nonfinite
+from .linear import check_backward_uniqueness
 
 __all__ = [
     "SteadyParams",
@@ -164,8 +165,6 @@ def bounded_solution(red, window=None, params=None, probe=True, seed=0,
         for z_probe, _d in sweeps(rng.uniform(-scale, scale, size=(len(ts), red.n))):
             pass
         probe_residual = float(np.max(np.linalg.norm((z_probe - z)[inside], axis=1)))
-
-    from .linear import check_backward_uniqueness
 
     bound = 2.0 * K * H / (sigma - 2.0 * K * L)
     return BoundedSolveResult(

@@ -485,14 +485,6 @@ def estimate_lipschitz(spec, box, samples=200):
 # built-in problem registry
 # ---------------------------------------------------------------------------
 
-REGISTRY_NAMES = (
-    "paper-example-1",
-    "diag-dichotomy",
-    "forced-scalar",
-    "periodic-coupled",
-)
-
-
 def _example1(window=(0.0, 10.0)):
     A = np.array([[2.0]])
     # full right-hand side is 2*y - w^2; the linear part lives in A
@@ -573,19 +565,22 @@ def _periodic_coupled(window=(0.0, 2.0)):
     )
 
 
+_BUILDERS = {
+    "paper-example-1": _example1,
+    "diag-dichotomy": _diag_dichotomy,
+    "forced-scalar": _forced_scalar,
+    "periodic-coupled": _periodic_coupled,
+}
+REGISTRY_NAMES = tuple(_BUILDERS)
+
+
 def get_problem(name, **params):
     """Instantiate a registry problem by name."""
-    builders = {
-        "paper-example-1": _example1,
-        "diag-dichotomy": _diag_dichotomy,
-        "forced-scalar": _forced_scalar,
-        "periodic-coupled": _periodic_coupled,
-    }
-    if name not in builders:
+    if name not in _BUILDERS:
         raise InvalidParameterError(
             f"unknown problem {name!r}; available: {', '.join(REGISTRY_NAMES)}"
         )
     try:
-        return builders[name](**params)
+        return _BUILDERS[name](**params)
     except TypeError as exc:
         raise InvalidParameterError(f"bad parameters for {name}: {exc}") from None

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from epcag_lab import cli
 from epcag_lab.cli import run
+from epcag_lab.errors import BlowUpError, ConditionError, EpcagError, IntegrationFailureError
 from epcag_lab.reporting import emit_report, load_schema
 
 CONFIG = """
@@ -397,13 +399,16 @@ def test_config_run_and_tolerance_overrides(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["verify", "--only", "1"],
     ["bounded", "--problem", "forced-scalar", "--window", "0", "3"],
-], ids=["verify", "bounded"])
+    ["simulate", "--problem", "paper-example-1", "--t0", "0", "--x0", "1", "--t-end", "1"],
+    ["check", "--mu", "1", "--l", "0", "--theta", "1"],
+], ids=["verify", "bounded", "simulate", "check"])
 def test_negative_seed_flag_is_config_error(tmp_path, capsys, argv):
     out = tmp_path / "out"
     code = run(argv + ["--seed", "-1", "-o", str(out), "--stamp", "T"])
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: --seed = -1 ") and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --seed = -1 ") and "Traceback" not in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -416,3 +421,26 @@ def test_negative_seed_in_config_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: seed = -1 ") and "Traceback" not in err
     assert not out.exists()
+
+
+def _error_classes(cls=EpcagError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+_EXIT_CODES = {IntegrationFailureError: 3, BlowUpError: 3, ConditionError: 4}
+
+
+@pytest.mark.parametrize("cls", [EpcagError, *_error_classes()], ids=lambda c: c.__name__)
+def test_every_error_class_exits_with_its_code(tmp_path, monkeypatch, capsys, cls):
+    assert cls.exit_code == _EXIT_CODES.get(cls, 1)
+
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_check", fail)
+    code = run(["check", "--mu", "1", "--l", "0", "--theta", "1", "-o", str(tmp_path)])
+    assert code == cls.exit_code
+    assert capsys.readouterr().err == f"{cls.label}: boom\n"
+    assert not list(tmp_path.iterdir())

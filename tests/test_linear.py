@@ -13,6 +13,7 @@ from epcag_lab.grid import make_uniform_grid
 from epcag_lab.integrate import propagator, rk4_final
 from epcag_lab.linear import (
     DichotomyData,
+    InequalityCheck,
     check_backward_uniqueness,
     check_smallness,
     dichotomy_for_constant_A,
@@ -182,6 +183,13 @@ def test_backward_uniqueness_worked_example():
     assert chk.lhs == pytest.approx(0.10386874771465136, rel=1e-15)
     assert chk.rhs == pytest.approx(math.exp(-1.0), rel=1e-15)
     assert chk.holds
+
+
+def test_backward_uniqueness_is_an_inequality_check():
+    chk = check_backward_uniqueness(1.0, 0.01, 1.0)
+    assert isinstance(chk, InequalityCheck) and chk.name == "backward_uniqueness"
+    assert chk.as_dict() == {"name": "backward_uniqueness", "lhs": chk.lhs,
+                             "rhs": chk.rhs, "holds": True, "margin": chk.rhs - chk.lhs}
 
 
 def test_backward_uniqueness_fails_for_larger_lipschitz():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from epcag_lab.grid import make_uniform_grid
 from epcag_lab.linear import dichotomy_for_constant_A
 from epcag_lab.reduction import propagators, reduce
 from epcag_lab.solver import solve_forward
-from epcag_lab.system import SystemSpec, get_problem
+from epcag_lab.system import REGISTRY_NAMES, SystemSpec, get_problem
 
 
 def _spec(A, f=None, lip=0.0, window=(-6.0, 6.0)):
@@ -219,6 +220,28 @@ def test_time_varying_general_rejected():
     dich = DichotomyData(P=np.diag([1.0, 0.0]), K=2.0, sigma=0.5, k_plus=1)
     with pytest.raises(UnsupportedSystemError):
         reduce(spec, dich)
+
+
+@pytest.mark.parametrize("name", REGISTRY_NAMES)
+def test_reduce_works_out_the_dichotomy_of_a_constant_A(name):
+    spec = get_problem(name)
+    own = reduce(spec)
+    given = reduce(spec, dichotomy_for_constant_A(spec.a_constant))
+    z = np.linspace(0.1, 0.2, spec.n)
+    for field in dataclasses.fields(own):
+        a, b = getattr(own, field.name), getattr(given, field.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        elif callable(a):
+            assert np.array_equal(a(0.3, z, -z), b(0.3, z, -z)), field.name
+        else:
+            assert a == b, field.name
+
+
+def test_reduce_of_a_time_varying_A_needs_its_dichotomy():
+    spec, _red = _time_varying_reduction()
+    with pytest.raises(UnsupportedSystemError, match="constant coefficient matrix"):
+        reduce(spec)
 
 
 def test_registry_paper_example_reduces_fully_unstable():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -754,6 +755,52 @@ def test_preimages_of_a_huge_target_are_finite(make, target):
     ps = back_continue_interval(make(), 0, 1.0, target)
     for p, rq in zip(ps.preimages, ps.residuals):
         assert np.isfinite(p).all() and math.isfinite(rq)
+
+
+def test_start_lattice_of_a_huge_target_stays_finite():
+    # 10*||x_target|| overflows here; the capped radius keeps 2R, and so
+    # every lattice point, finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ps = back_continue_interval(parse_system(N2_CONFIG), 0, 1.0, [1e308, 1e308])
+    assert ps.classification == "none"
+
+
+def _textbook_rk4_step(rhs, t, y, h):
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def test_step_loop_takes_k1_from_the_stored_derivative(monkeypatch):
+    spec = parse_system(N2_CONFIG)  # f reads y: the step loop, not the affine path
+    assert not spec.f_ignores_y
+    calls = []
+    frozen_rhs = solver._frozen_rhs
+
+    def counted(spec, w):
+        rhs = frozen_rhs(spec, w)
+
+        def f(t, y):
+            calls.append(t)
+            return rhs(t, y)
+
+        return f
+
+    monkeypatch.setattr(solver, "_frozen_rhs", counted)
+    path = solve_forward(spec, 0.0, [0.3, -0.2], 3.5)
+    segments = path.diagnostics["segments"]
+    steps = len(path.ts) - segments
+    # 4 calls per step and 1 for each segment's first stored derivative
+    assert segments == 4 and len(calls) == 4 * steps + segments == 900
+    calls.clear()
+    monkeypatch.setattr(integrate, "_rk4_step",
+                        lambda rhs, t, y, h, k1: _textbook_rk4_step(rhs, t, y, h))
+    ref = solve_forward(spec, 0.0, [0.3, -0.2], 3.5)
+    assert len(calls) == 5 * steps + segments
+    assert np.array_equal(path.ys, ref.ys) and np.array_equal(path.derivs, ref.derivs)
 
 
 _BAD_STATES = [[1.0, 2.0], [], [[1.0], [2.0]], [math.nan], [math.inf]]
