@@ -28,32 +28,33 @@ starts at mesh point q the even mesh values obey an affine recursion
 with c_j the panel's Simpson term, which depends on g only.  The backward
 accumulation is the same recursion run down the mesh from its top with
 the negative step -h: its panels go from t_{q+2} to t_q, P_j = B[q] B[q+1],
-and one function builds the Simpson terms of both directions.  The
-panels are taken ``_SCAN_BLOCK`` at a time.  A block's panel terms are
-built with batched matrix products over strided views of the mesh
-arrays, its affine recursion is solved by the doubling (Hillis-Steele)
-prefix scan of ``integrate.ScanPlan``, and the block starts from the
-last value of the block before.  The odd mesh points then follow from
-their panel's even start in one vector step.
+and one function builds the Simpson terms of both directions.  The panel
+terms of the whole mesh are built with batched matrix products over
+strided views of the mesh arrays, their affine recursion is solved by one
+doubling (Hillis-Steele) prefix scan of ``integrate.ScanPlan`` from the
+start value, and the odd mesh points then follow from their panel's even
+start in one vector step.
 
 Only the c_j depend on g.  A ``SweepPlan`` holds everything else one
 direction's sweeps share: the panel maps, the signed sub-steps, the
-closing panels and, per block, the scan's plan built from the P_j (the
-products the scan multiplies c by at each level, and the composed maps
-that carry the block's start value).  ``IntegralOperator`` builds the
-plan of each direction at its first sweep and hands it to every later
-one, so a Picard or steady-state sweep forms no propagator product.  A
-scan level whose products are bitwise equal is stored as one matrix;
-on a uniform mesh with a constant block nearly every level is, so the
-plans stay smaller than the sub-step propagators they are built from.
+closing panels and the scan's plan built from the P_j (the products the
+scan multiplies c by at each level, and the composed maps that carry the
+start value).  ``IntegralOperator`` builds the plan of each direction
+with its propagators and hands it to every sweep, so a Picard or
+steady-state sweep forms no propagator product.  A scan level whose
+products are bitwise equal is stored as one matrix; on a uniform mesh
+with a constant block nearly every level is, so the plans stay smaller
+than the sub-step propagators they are built from.
 
 The composed maps are products of consecutive P_j, i.e. propagators
 Prop(t_b, t_a) of the contracting block in its contracting direction:
 the forward accumulator only sees the plus block, whose forward flow
 decays, and the backward accumulator only the minus block, whose
 backward flow decays.  So every factor the scan forms stays bounded by
-the dichotomy constant, exactly as for the panel-by-panel recursion, and
-the blocks only bound the size of the scan's temporaries.
+the dichotomy constant, exactly as for the panel-by-panel recursion, at
+any length of the mesh.  The scan's temporaries are (P, d, r) arrays for
+P panels, no larger than the (2P, d, d) propagators the plan is built
+from.
 
 ``IntegralOperator`` packages one window's mesh and propagators with the
 split operator (u forward from the lower end, v backward from the upper
@@ -71,10 +72,6 @@ from .integrate import ScanPlan, propagator
 
 __all__ = ["QuadMesh", "IntegralOperator", "SweepPlan", "build_mesh", "block_propagators",
            "accumulate_forward", "accumulate_backward"]
-
-# panels per block of the affine scan; bounds the size of its temporaries
-_SCAN_BLOCK = 128
-
 
 @dataclass
 class QuadMesh:
@@ -188,11 +185,12 @@ class SweepPlan:
     Holds the panel maps in scan order, up the mesh or down it from the
     top if ``top`` (views of F and B: E0[j] and E1[j] propagate panel j's
     near point to its midpoint and its midpoint to its far point, Eh[j]
-    far to mid), the signed sub-steps, the closing panels, and per
-    ``_SCAN_BLOCK`` panels the ``integrate.ScanPlan`` of the panel maps
-    E1[j] E0[j]: the propagator products the scan multiplies the Simpson
-    terms by.  None of it depends on g, so a sweep with the plan only
-    builds the Simpson terms and runs the b half of each block's scan.
+    far to mid), the signed h/12 and h/3 of every panel, the scan position
+    of each knot interval's closing panel, and the
+    ``integrate.ScanPlan`` of the panel maps E1[j] E0[j]: the propagator
+    products the scan multiplies the Simpson terms by.  None of it
+    depends on g, so a sweep with the plan only builds the Simpson terms
+    and runs the b half of the scan.
     """
 
     def __init__(self, F, B, mesh, top):
@@ -201,22 +199,15 @@ class SweepPlan:
             self.E0, self.E1, self.Eh = B[1::2][::-1], B[0::2][::-1], F[0::2][::-1]
         else:
             self.E0, self.E1, self.Eh = F[0::2], F[1::2], B[1::2]
-        self.blocks = []
-        if F.shape[-1] == 0:
-            return  # a sweep of an empty block only returns its start value
         step = -1 if top else 1
-        order = slice(None, None, step)
         h = step * np.repeat([h for _start, _ns, h in mesh.blocks],
-                             [ns // 2 for _start, ns, _h in mesh.blocks])[order, None, None]
-        # the knot interval each panel closes, in scan order (-1 if none)
-        closes = np.full(len(h), -1)
-        closes[mesh.block_ends // 2 - 1] = np.arange(len(mesh.blocks))
-        closes = closes[order]
-        for lo in range(0, len(h), _SCAN_BLOCK):
-            sl = slice(lo, lo + _SCAN_BLOCK)
-            hit = np.flatnonzero(closes[sl] >= 0)
-            self.blocks.append((sl, h[sl] / 12.0, h[sl] / 3.0, hit, closes[sl][hit],
-                                ScanPlan(self.E1[sl] @ self.E0[sl])))
+                             [ns // 2 for _start, ns, _h in mesh.blocks])[::step, None, None]
+        self.h12, self.h3 = h / 12.0, h / 3.0
+        # the scan position of the panel that closes each knot interval
+        self.closing = mesh.block_ends // 2 - 1
+        if top:
+            self.closing = len(h) - 1 - self.closing
+        self.scan = ScanPlan(self.E1 @ self.E0)
 
 
 def _accumulate(plan, gvals, size, init, g_close):
@@ -240,20 +231,15 @@ def _accumulate(plan, gvals, size, init, g_close):
     mids = x[1::2][order]
     g_lo, g_mid, g_up = g[0:-1:2][order], g[1::2][order], g[2::2][order]
     if g_close is not None:
-        g_close = _columns(g_close)
-    for sl, h12, h3, hit, closes, scan in plan.blocks:
-        g_upper = g_up[sl]
-        if g_close is not None and len(hit):
-            g_upper = g_upper.copy()
-            g_upper[hit] = g_close[closes]
-        g_near, g_far = (g_lo[sl], g_upper)[order]
-        e0, e1 = plan.E0[sl], plan.E1[sl]
-        # half panel [near, mid] and full panel [near, far] by Simpson
-        psi0 = e0 @ g_near
-        half = h12 * (5.0 * psi0 + 8.0 * g_mid[sl] - plan.Eh[sl] @ g_far)
-        full = h3 * (e1 @ psi0 + 4.0 * (e1 @ g_mid[sl]) + g_far)
-        scan.apply(full, near[sl.start], far[sl])
-        mids[sl] = e0 @ near[sl] + half
+        g_up = g_up.copy()
+        g_up[plan.closing] = _columns(g_close)
+    g_near, g_far = (g_lo, g_up)[order]
+    # half panel [near, mid] and full panel [near, far] by Simpson
+    psi0 = plan.E0 @ g_near
+    half = plan.h12 * (5.0 * psi0 + 8.0 * g_mid - plan.Eh @ g_far)
+    full = plan.h3 * (plan.E1 @ psi0 + 4.0 * (plan.E1 @ g_mid) + g_far)
+    plan.scan.apply(full, near[0], far)
+    mids[:] = plan.E0 @ near + half
     return out
 
 
@@ -263,8 +249,8 @@ def accumulate_forward(F, B, gvals, mesh, init, g_close=None, plan=None):
     ``gvals`` holds g at every mesh point with shape (M, d) or (M, d, r);
     the result matches.  ``g_close[b]`` is the left-limit integrand value
     at the closing point of interval block b (defaults to the pointwise
-    value).  Forward panel recursion evaluated by the blocked affine
-    scan; all factors stay bounded in the contracting direction.
+    value).  Forward panel recursion evaluated by one affine scan up the
+    mesh; all factors stay bounded in the contracting direction.
     ``plan`` is the ``SweepPlan(F, B, mesh, top=False)`` of earlier
     sweeps; without it one is built for this call.
     """
@@ -276,8 +262,8 @@ def accumulate_forward(F, B, gvals, mesh, init, g_close=None, plan=None):
 def accumulate_backward(F, B, gvals, mesh, init, g_close=None, plan=None):
     """Values of v(t) = Prop(t, T) init - int_t^T Prop(t, s) g(s) ds.
 
-    Backward panel recursion from the mesh top, evaluated by the blocked
-    affine scan; Prop(t_j, t_{j+1}) is the backward sub-step propagator
+    Backward panel recursion from the mesh top, evaluated by one affine
+    scan down the mesh; Prop(t_j, t_{j+1}) is the backward sub-step propagator
     B[j], bounded for the expanding block.  ``plan`` is the
     ``SweepPlan(F, B, mesh, top=True)`` of earlier sweeps; without it one
     is built for this call.
@@ -294,10 +280,9 @@ class IntegralOperator:
     ``v`` backward from ``hi`` with the expanding block.  The integrand is
     evaluated at ``points``: every mesh point, then the closing point of
     every knot interval, where the frozen argument takes its left limit.
-    Holds the mesh and the four sub-step propagators ``Fp, Bp, Fm, Bm``,
-    and from its first ``apply`` on the ``SweepPlan`` of each direction,
-    so the propagator products of the scans are formed once for all the
-    sweeps of ``iterate``.
+    Holds the mesh, the four sub-step propagators ``Fp, Bp, Fm, Bm`` and
+    the ``SweepPlan`` of each direction, so the propagator products of the
+    scans are formed once for all the sweeps of ``iterate``.
     """
 
     def __init__(self, red, grid, lo, hi, substeps):
@@ -305,11 +290,12 @@ class IntegralOperator:
         self.mesh = mesh = build_mesh(grid, lo, hi, substeps)
         self.Fp, self.Bp = block_propagators(red.b_plus, mesh, red.k)
         self.Fm, self.Bm = block_propagators(red.b_minus, mesh, red.m)
+        self.plan_u = SweepPlan(self.Fp, self.Bp, mesh, top=False)
+        self.plan_v = SweepPlan(self.Fm, self.Bm, mesh, top=True)
         self._rows = np.concatenate([np.arange(mesh.size), mesh.block_ends])
         self._beta_rows = np.concatenate([mesh.beta_idx, mesh.block_starts])
         self.points = mesh.ts[self._rows]
         self._args = None
-        self._plans = None
 
     def arguments(self, z):
         """(z, z(beta)) at ``points``, from z on the mesh.
@@ -334,13 +320,10 @@ class IntegralOperator:
         ``v0``.  Returns the mesh values of (u, v).
         """
         M, k = self.mesh.size, self.k
-        if self._plans is None:
-            self._plans = (SweepPlan(self.Fp, self.Bp, self.mesh, top=False),
-                           SweepPlan(self.Fm, self.Bm, self.mesh, top=True))
-        plan_u, plan_v = self._plans
         gv, gc = g[:M], g[M:]
-        u = accumulate_forward(self.Fp, self.Bp, gv[:, :k], self.mesh, u0, gc[:, :k], plan_u)
-        v = accumulate_backward(self.Fm, self.Bm, gv[:, k:], self.mesh, v0, gc[:, k:], plan_v)
+        u = accumulate_forward(self.Fp, self.Bp, gv[:, :k], self.mesh, u0, gc[:, :k], self.plan_u)
+        v = accumulate_backward(self.Fm, self.Bm, gv[:, k:], self.mesh, v0, gc[:, k:],
+                                self.plan_v)
         return np.concatenate([u, v], axis=1)
 
     def iterate(self, integrand, z, u0, v0, tol, max_iter, rows=slice(None)):

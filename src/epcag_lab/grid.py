@@ -127,15 +127,23 @@ class ThetaGrid:
         raise OutOfWindowError("explicit grid cannot be extended beyond its knots")
 
 
+def _require_finite(what, values):
+    if not np.all(np.isfinite(values)):
+        raise InvalidParameterError(f"{what} must be finite, got {values}")
+
+
 def make_uniform_grid(step, offset=0.0, window=(0.0, 10.0)):
     """Grid theta_k = offset + k*step covering the window.
 
     The gap bound is the step and the grid is 1-periodic with period step.
     """
-    step = float(step)
+    step, offset = float(step), float(offset)
+    lo, hi = float(window[0]), float(window[1])
+    _require_finite("step", step)
+    _require_finite("offset", offset)
+    _require_finite("window", [lo, hi])
     if step <= 0:
         raise InvalidParameterError(f"step must be positive, got {step}")
-    lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise InvalidParameterError("window must be a nonempty interval")
     k_lo = math.floor((lo - offset) / step) - 1
@@ -149,7 +157,7 @@ def make_uniform_grid(step, offset=0.0, window=(0.0, 10.0)):
         knots=knots,
         base_index=k_lo,
         step=step,
-        offset=float(offset),
+        offset=offset,
     )
 
 
@@ -158,6 +166,7 @@ def make_explicit_grid(knots):
     knots = np.asarray(knots, dtype=float)
     if knots.ndim != 1 or len(knots) < 2:
         raise InvalidParameterError("need at least two knots")
+    _require_finite("knots", knots)
     gaps = np.diff(knots)
     if not np.all(gaps > 0):
         raise InvalidParameterError("knots must be strictly increasing")
@@ -174,16 +183,19 @@ def make_periodic_grid(pattern, period, window=(0.0, 10.0)):
     """Grid repeating a knot pattern with theta_{i+p} = theta_i + period."""
     pattern = tuple(float(x) for x in pattern)
     period = float(period)
+    lo, hi = float(window[0]), float(window[1])
     p = len(pattern)
     if p == 0:
         raise InvalidParameterError("pattern must be nonempty")
+    _require_finite("pattern", pattern)
+    _require_finite("period", period)
+    _require_finite("window", [lo, hi])
     if period <= 0:
         raise InvalidParameterError("period must be positive")
     if any(pattern[j] >= pattern[j + 1] for j in range(p - 1)):
         raise InvalidParameterError("pattern must be strictly increasing")
     if pattern[-1] - pattern[0] >= period:
         raise InvalidParameterError("pattern span must be less than the period")
-    lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise InvalidParameterError("window must be a nonempty interval")
     k_lo = math.floor((lo - pattern[0]) / period) - 1

@@ -181,6 +181,8 @@ def dichotomy_for_constant_A(A):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidParameterError("A must be a square matrix")
+    if not np.all(np.isfinite(A)):
+        raise InvalidParameterError("A must have finite entries")
     vals, vecs = np.linalg.eig(A)
     re = vals.real
     central = np.abs(re) < 1e-9

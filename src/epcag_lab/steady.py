@@ -120,6 +120,8 @@ def bounded_solution(red, window=None, params=None, probe=True, seed=0,
                                     f"got [{lo:g}, {hi:g}]")
     if spec.h0 is None:
         raise ConditionError("bounded solve requires the system's h0 bound")
+    if not math.isfinite(spec.h0):
+        raise InvalidParameterError(f"h0 must be finite, got {spec.h0}")
     K, sigma, L = red.K, red.sigma, red.L
     contraction = 2.0 * K * L / sigma
     if contraction >= 1.0:
@@ -186,8 +188,9 @@ def periodicity_params(omega, omega_bar):
     accepted when the best bounded-denominator approximation lands within
     1e-9 relative; ratios needing a larger denominator raise.
     """
-    if omega <= 0 or omega_bar <= 0:
-        raise InvalidParameterError("periods must be positive")
+    if not (0 < omega < math.inf and 0 < omega_bar < math.inf):
+        raise InvalidParameterError(
+            f"periods must be positive and finite, got {omega} and {omega_bar}")
     ratio = omega / omega_bar
     frac = Fraction(ratio).limit_denominator(10 ** 6)
     if frac.numerator <= 0:

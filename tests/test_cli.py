@@ -273,6 +273,54 @@ def test_config_key_given_twice_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+_GRID = "kind = uniform\nstep = 1.0\noffset = 0.0\nwindow = -30 30"
+_A_INF = CONFIG.replace("A11 = -1", "A11 = 1e308*10")
+_H0_NAN = CONFIG.replace("h0 = 0.5", "h0 = nan")
+
+
+@pytest.mark.parametrize("config,argv,message", [
+    (CONFIG.replace("step = 1.0", "step = nan"), ["check"], "step must be finite"),
+    (CONFIG.replace("offset = 0.0", "offset = nan"), ["check"], "offset must be finite"),
+    (CONFIG.replace("window = -30 30", "window = 0 inf"), ["check"], "window must be finite"),
+    (CONFIG.replace(_GRID, "kind = explicit\nknots = 0 1 inf"), ["check"],
+     "knots must be finite"),
+    (CONFIG.replace(_GRID, "kind = periodic-pattern\npattern = 0 0.5\nperiod = nan"),
+     ["check"], "period must be finite"),
+    (_A_INF, ["check"], "A must have finite entries"),
+    (_A_INF, ["bounded"], "A must have finite entries"),
+    (_A_INF, ["reduce"], "A must have finite entries"),
+    (_A_INF, ["periodic"], "A must have finite entries"),
+    (_A_INF, ["manifold", "--t0", "0", "--c", "0.5"], "A must have finite entries"),
+    (_H0_NAN, ["bounded"], "h0 must be finite"),
+    (_H0_NAN, ["periodic"], "h0 must be finite"),
+    (CONFIG.replace("h0 = 0.5", "h0 = 0.5\nperiod = nan"), ["periodic"],
+     "periods must be positive and finite"),
+    (CONFIG.replace("h0 = 0.5", "h0 = 0.5\nperiod = inf"), ["periodic"],
+     "periods must be positive and finite"),
+], ids=["step-nan", "offset-nan", "window-inf", "knots-inf", "grid-period-nan",
+        "A-inf-check", "A-inf-bounded", "A-inf-reduce", "A-inf-periodic", "A-inf-manifold",
+        "h0-nan-bounded", "h0-nan-periodic", "period-nan", "period-inf"])
+def test_non_finite_config_value_is_invalid_parameter(tmp_path, capsys, config, argv, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    code = run([argv[0], str(cfg), *argv[1:], "-o", str(out), "--stamp", "T"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_malformed_config_exits_with_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG.replace("n = 1", "n = 0"))
+    out = tmp_path / "out"
+    code = run(["check", str(cfg), "-o", str(out), "--stamp", "T"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: n must be >= 1\n"
+    assert not out.exists()
+
+
 def test_missing_system_is_config_error(tmp_path):
     code = run(["simulate", "--t0", "0", "--x0", "1", "--t-end", "1",
                 "-o", str(tmp_path)])

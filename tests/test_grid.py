@@ -165,3 +165,33 @@ def test_strictly_increasing_required():
         make_explicit_grid([0.0, 0.0, 1.0])
     with pytest.raises(InvalidParameterError):
         make_periodic_grid([0.0, 0.5, 0.2], 1.0, (0.0, 3.0))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_uniform_grid(NAN),
+    lambda: make_uniform_grid(INF),
+    lambda: make_uniform_grid(1.0, NAN),
+    lambda: make_uniform_grid(1.0, -INF),
+    lambda: make_uniform_grid(1.0, 0.0, (0.0, INF)),
+    lambda: make_uniform_grid(1.0, 0.0, (-INF, 0.0)),
+    lambda: make_uniform_grid(1.0, 0.0, (0.0, NAN)),
+    lambda: make_explicit_grid([0.0, 1.0, INF]),
+    lambda: make_explicit_grid([-INF, 0.0, 1.0]),
+    lambda: make_explicit_grid([0.0, NAN, 1.0]),
+    lambda: make_periodic_grid([0.0, 0.5], NAN),
+    lambda: make_periodic_grid([0.0, 0.5], INF),
+    lambda: make_periodic_grid([NAN, 0.5], 1.0),
+    lambda: make_periodic_grid([0.0, NAN], 1.0),
+    lambda: make_periodic_grid([0.0, 0.5], 1.0, (0.0, INF)),
+    lambda: make_periodic_grid([0.0, 0.5], 1.0, (NAN, 1.0)),
+], ids=["uniform-step-nan", "uniform-step-inf", "uniform-offset-nan", "uniform-offset-inf",
+        "uniform-window-inf", "uniform-window-minus-inf", "uniform-window-nan",
+        "explicit-last-inf", "explicit-first-minus-inf", "explicit-nan",
+        "periodic-period-nan", "periodic-period-inf", "periodic-pattern-nan-first",
+        "periodic-pattern-nan-last", "periodic-window-inf", "periodic-window-nan"])
+def test_non_finite_parameters_rejected(make):
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        make()

@@ -171,6 +171,12 @@ def test_dichotomy_rejects_neutral_eigenvalue():
         dichotomy_for_constant_A(np.diag([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+def test_dichotomy_rejects_non_finite_matrix(entry):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        dichotomy_for_constant_A(np.array([[entry, 0.0], [0.0, 1.0]]))
+
+
 def test_backward_uniqueness_zero_lipschitz_always_holds():
     for mu in (0.0, 1.0, 5.0):
         chk = check_backward_uniqueness(mu, 0.0, 1.0)

@@ -206,6 +206,17 @@ def test_off_manifold_diagnose_cone_and_phases(red_small):
     assert rep.growth_exponent >= lam - 0.05
 
 
+def test_off_manifold_diagnose_reports_overflow_as_divergence():
+    # the expanding coordinate passes the forward solve's guard before T,
+    # so the diagnosis reruns without the guard up to a knot short of it
+    red = diag_reduced(coupling=0.01)
+    rep = off_manifold_diagnose(red, 0.0, [0.5, 1e3], 30.0)
+    assert rep.overflow_divergence
+    assert rep.times[-1] < 30.0
+    assert np.all(np.isfinite(rep.v_norms))
+    assert rep.v_norms[-1] > 1e3 * rep.v_norms[0]
+
+
 def test_off_manifold_requires_offset(red_small):
     mf = ManifoldFn(red_small, "stable")
     F0 = mf.value(0.0, [0.5])

@@ -1,5 +1,5 @@
-"""The blocked affine scan of _quadrature against the panel-by-panel loop,
-and the integral operator built on it."""
+"""The affine scan of _quadrature against the panel-by-panel loop, and the
+integral operator built on it."""
 
 import numpy as np
 import pytest
@@ -108,8 +108,8 @@ def loop_block_propagators(block, mesh, dim, micro_steps=2):
     return F, B
 
 
-# Reference: the blocked scan as it ran before plans, forming the panel maps
-# and the scan's matrix half in every call, kept verbatim.
+# Reference: the scan as it ran before plans, forming the panel maps and the
+# scan's matrix half in every call.
 
 def oneshot_affine_scan(A, b, x0, out):
     s = 1
@@ -140,21 +140,15 @@ def oneshot_accumulate(E0, E1, Eh, gvals, mesh, init, g_close, top):
     closes[mesh.block_ends // 2 - 1] = np.arange(len(mesh.blocks))
     closes = closes[order]
     if g_close is not None:
-        g_close = _quadrature._columns(g_close)
-    for lo in range(0, len(h), _quadrature._SCAN_BLOCK):
-        sl = slice(lo, lo + _quadrature._SCAN_BLOCK)
-        g_upper = g_up[sl]
-        hit = closes[sl] >= 0
-        if g_close is not None and hit.any():
-            g_upper = g_upper.copy()
-            g_upper[hit] = g_close[closes[sl][hit]]
-        g_near, g_far = (g_lo[sl], g_upper)[order]
-        e0, e1 = E0[sl], E1[sl]
-        psi0 = e0 @ g_near
-        half = (h[sl] / 12.0) * (5.0 * psi0 + 8.0 * g_mid[sl] - Eh[sl] @ g_far)
-        full = (h[sl] / 3.0) * (e1 @ psi0 + 4.0 * (e1 @ g_mid[sl]) + g_far)
-        oneshot_affine_scan(e1 @ e0, full, near[sl.start], far[sl])
-        mids[sl] = e0 @ near[sl] + half
+        hit = closes >= 0
+        g_up = g_up.copy()
+        g_up[hit] = _quadrature._columns(g_close)[closes[hit]]
+    g_near, g_far = (g_lo, g_up)[order]
+    psi0 = E0 @ g_near
+    half = (h / 12.0) * (5.0 * psi0 + 8.0 * g_mid - Eh @ g_far)
+    full = (h / 3.0) * (E1 @ psi0 + 4.0 * (E1 @ g_mid) + g_far)
+    oneshot_affine_scan(E1 @ E0, full, near[0], far)
+    mids[:] = E0 @ near + half
     return out
 
 
@@ -167,26 +161,18 @@ def oneshot_backward(F, B, gvals, mesh, init, g_close=None):
                               g_close, top=True)
 
 
-def n_panels(mesh):
-    return (mesh.size - 1) // 2
-
-
 def meshes():
-    """Meshes with a partial last scan block, an exact multiple of the
-    block size, a single short block, and irregular knots with a partial
-    last interval."""
-    K = _quadrature._SCAN_BLOCK
+    """Meshes of 5.3 unit intervals (a partial last interval) and of 8
+    (256 panels), a single short interval, and irregular knots with a
+    partial last interval."""
     unit = make_uniform_grid(1.0, window=(-1.0, 40.0))
     irregular = make_explicit_grid(np.cumsum([0.0, 0.7, 1.1, 0.45, 1.6, 0.9, 1.3]))
     out = {
         "partial": build_mesh(unit, 0.0, 5.3, 64),
-        "multiple": build_mesh(unit, 0.0, 2.0 * K / 32, 64),
+        "multiple": build_mesh(unit, 0.0, 8.0, 64),
         "short": build_mesh(unit, 0.0, 1.0, 16),
         "irregular": build_mesh(irregular, 0.0, 5.0, 24),
     }
-    assert n_panels(out["partial"]) % K and n_panels(out["partial"]) > K
-    assert n_panels(out["multiple"]) == 2 * K
-    assert n_panels(out["short"]) < K
     return out
 
 
@@ -363,7 +349,7 @@ def test_planned_sweeps_equal_one_shot_scan_bitwise(mesh_name, d, r, kind):
         plan = SweepPlan(F, B, mesh, top)
         if kind == "varying":
             # no two panel maps are equal, so no level collapses
-            assert all(M.ndim == 3 for *_, scan in plan.blocks for _s, M in scan.levels)
+            assert all(M.ndim == 3 for _s, M in plan.scan.levels)
         for close in (False, True, True):
             gvals = rng.standard_normal((mesh.size,) + tail)
             g_close = rng.standard_normal((len(mesh.blocks),) + tail) if close else None
@@ -375,9 +361,8 @@ def test_planned_sweeps_equal_one_shot_scan_bitwise(mesh_name, d, r, kind):
 
 def plan_bytes(plan):
     """Bytes of the arrays a ``SweepPlan`` holds itself (E0, E1, Eh are views)."""
-    return sum(h12.nbytes + h3.nbytes + hit.nbytes + closes.nbytes + scan.A.nbytes
-               + sum(M.nbytes for _s, M in scan.levels)
-               for _sl, h12, h3, hit, closes, scan in plan.blocks)
+    return (plan.h12.nbytes + plan.h3.nbytes + plan.closing.nbytes + plan.scan.A.nbytes
+            + sum(M.nbytes for _s, M in plan.scan.levels))
 
 
 @pytest.mark.parametrize("d", [1, 2, 4, 8])
@@ -388,11 +373,9 @@ def test_plan_of_a_constant_block_is_smaller_than_its_propagators(d):
     F, B = block_propagators(A, mesh, d)
     for top in (False, True):
         plan = SweepPlan(F, B, mesh, top)
-        # every level of every full scan block collapses to one matrix
-        full = [scan for sl, *_, scan in plan.blocks
-                if len(scan.A) == _quadrature._SCAN_BLOCK]
-        assert len(full) > 1
-        assert all(M.shape == (d, d) for scan in full for _s, M in scan.levels)
+        # every level of the scan collapses to one matrix
+        assert len(plan.scan.levels) > 1
+        assert all(M.shape == (d, d) for _s, M in plan.scan.levels)
         assert plan_bytes(plan) < F.nbytes + B.nbytes
 
 

@@ -60,6 +60,21 @@ def test_constant_eigen_route_spectra():
     assert np.linalg.norm(red.u_trans_inv, 2) == pytest.approx(1.0)
 
 
+def test_constant_eigen_route_with_a_complex_pair():
+    # a stable complex pair -1 +- 2i: its invariant plane comes from the real
+    # and imaginary parts of one eigenvector
+    A = np.array([[-1.0, 2.0, 0.0], [-2.0, -1.0, 0.0], [0.5, 0.0, 1.5]])
+    red = reduce(_spec(A), dichotomy_for_constant_A(A))
+    assert red.k == 2 and red.m == 1
+    got = red.u_trans_inv @ A @ red.u_trans
+    assert np.max(np.abs(got[:2, 2:])) <= 1e-12
+    assert np.max(np.abs(got[2:, :2])) <= 1e-12
+    plus = sorted(np.linalg.eigvals(red.b_plus), key=lambda z: z.imag)
+    assert plus == pytest.approx([-1.0 - 2.0j, -1.0 + 2.0j], abs=1e-12)
+    assert np.linalg.eigvals(red.b_minus) == pytest.approx([1.5], abs=1e-12)
+    assert np.linalg.norm(red.u_trans_inv, 2) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_zero_nonlinearity_gives_zero_L():
     spec = _spec(np.diag([-1.0, 1.0]))
     red = reduce(spec, dichotomy_for_constant_A(spec.a_constant))

@@ -78,6 +78,14 @@ def test_h0_required():
         bounded_solution(red, window=(0.0, 2.0))
 
 
+@pytest.mark.parametrize("h0", [math.nan, math.inf])
+def test_non_finite_h0_is_invalid_parameter(h0):
+    spec = replace(get_problem("forced-scalar"), h0=h0)
+    red = reduce(spec, dichotomy_for_constant_A(spec.a_constant))
+    with pytest.raises(InvalidParameterError, match="h0 must be finite"):
+        bounded_solution(red, window=(0.0, 2.0))
+
+
 def test_h0_bound_verified_by_sampling():
     spec = get_problem("forced-scalar")  # f(t,0,0) = 0.5
     spec = replace(spec, h0=0.1)
@@ -99,6 +107,14 @@ def test_periodicity_params_examples():
 def test_periodicity_params_rejects_unresolvable_ratio():
     with pytest.raises(InvalidParameterError):
         periodicity_params(1.0 + 1.0143e-7 * math.pi, 1.0)
+
+
+@pytest.mark.parametrize("omega,omega_bar", [
+    (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf),
+])
+def test_periodicity_params_rejects_non_finite_periods(omega, omega_bar):
+    with pytest.raises(InvalidParameterError, match="positive and finite"):
+        periodicity_params(omega, omega_bar)
 
 
 def test_periodic_coupled_full_run():

@@ -9,6 +9,7 @@ from epcag_lab.system import (
     estimate_lipschitz,
     estimate_mu,
     get_problem,
+    parse_config,
     parse_system,
 )
 
@@ -60,6 +61,43 @@ def test_unknown_keys_rejected():
         parse_system(EX1_CONFIG + "\n[system2]\nx = 1\n")
     with pytest.raises(ConfigError):
         parse_system(EX1_CONFIG.replace("mu = 2.0", "bogus = 2.0"))
+
+
+def _cfg(old, new):
+    assert old in EX1_CONFIG
+    return EX1_CONFIG.replace(old, new)
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("x = 1\n" + EX1_CONFIG, 1, "key outside any [section]"),
+    (_cfg("n = 1", "n = 1\nnot a key"), 4, "expected 'key = value'"),
+    (_cfg("step = 1.0", "step = one"), 9, "step must be numeric"),
+    (_cfg("window = 0 10", "window = 0"), 11, "window needs 2 values"),
+    (_cfg("offset = 0.0", "origin = 0.0"), 10, "unknown grid key 'origin'"),
+    (_cfg("kind = uniform", "kind = explicit"), None, "requires a 'knots' list"),
+    (_cfg("kind = uniform", "kind = periodic-pattern"), None, "requires 'pattern' and 'period'"),
+    (_cfg("kind = uniform", "kind = hexagonal"), None, "unknown grid kind 'hexagonal'"),
+    (EX1_CONFIG + "[run]\nseed = many\n", 18, "bad value for 'seed'"),
+    ("[grid]\nkind = uniform\n", None, "missing [system] section"),
+    (_cfg("n = 1", "problem = forced-scalar\nn = 1"), None, "cannot be mixed with keys"),
+    (_cfg("n = 1\n", ""), None, "[system] must declare n"),
+    (_cfg("n = 1", "n = one"), 3, "n must be an integer"),
+    (_cfg("n = 1", "n = 0"), None, "n must be >= 1"),
+    (_cfg("A11 = 2", "A11 = 2\nB11 = 1"), 5, "unknown system key 'B11'"),
+    (_cfg("A11 = 2", "A11 = 2\nA13 = 1"), 5, "entry 'A13' out of range for n=1"),
+    (_cfg("f1 = -w1^2\n", ""), None, "missing nonlinearity entries: ['f1']"),
+    (_cfg("mu = 2.0", "mu = large"), 14, "mu must be numeric or 'estimate'"),
+], ids=["outside-section", "not-key-value", "non-numeric", "wrong-count", "unknown-grid-key",
+        "explicit-without-knots", "pattern-without-period", "unknown-grid-kind",
+        "run-value-type", "missing-system", "shortcut-mixed", "missing-n", "n-not-integer",
+        "n-below-one", "unknown-system-key", "entry-out-of-range", "missing-f",
+        "non-numeric-constant"])
+def test_malformed_config_is_config_error(text, line, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert message in str(err.value)
+    if line is not None:
+        assert str(err.value).startswith(f"line {line}: ")
 
 
 def test_entry_out_of_range_and_missing():
