@@ -132,6 +132,23 @@ def _require_finite(what, values):
         raise InvalidParameterError(f"{what} must be finite, got {values}")
 
 
+def _period_range(lo, hi, per_period):
+    """The first and last period k_lo..k_hi of a grid that covers a window
+    whose ends lo and hi are given in periods, one spare period on each
+    side, for ``per_period`` knots in each.
+
+    The count is checked before any knot is made: a window that needs
+    more than 10**7 knots is refused.
+    """
+    periods = hi - lo + 3  # within 2 of the count; finite only if lo and hi are
+    if periods <= 10**7:
+        periods = math.ceil(hi) - math.floor(lo) + 3
+    if not periods * per_period <= 10**7:
+        raise InvalidParameterError(
+            f"the window needs {periods * per_period:.3g} knots, more than 10**7")
+    return math.floor(lo) - 1, math.ceil(hi) + 1
+
+
 def make_uniform_grid(step, offset=0.0, window=(0.0, 10.0)):
     """Grid theta_k = offset + k*step covering the window.
 
@@ -146,8 +163,7 @@ def make_uniform_grid(step, offset=0.0, window=(0.0, 10.0)):
         raise InvalidParameterError(f"step must be positive, got {step}")
     if not lo < hi:
         raise InvalidParameterError("window must be a nonempty interval")
-    k_lo = math.floor((lo - offset) / step) - 1
-    k_hi = math.ceil((hi - offset) / step) + 1
+    k_lo, k_hi = _period_range((lo - offset) / step, (hi - offset) / step, 1)
     knots = offset + step * np.arange(k_lo, k_hi + 1, dtype=float)
     return ThetaGrid(
         kind="uniform",
@@ -198,11 +214,9 @@ def make_periodic_grid(pattern, period, window=(0.0, 10.0)):
         raise InvalidParameterError("pattern span must be less than the period")
     if not lo < hi:
         raise InvalidParameterError("window must be a nonempty interval")
-    k_lo = math.floor((lo - pattern[0]) / period) - 1
-    k_hi = math.ceil((hi - pattern[0]) / period) + 1
-    knots = np.concatenate(
-        [np.asarray(pattern) + k * period for k in range(k_lo, k_hi + 1)]
-    )
+    k_lo, k_hi = _period_range((lo - pattern[0]) / period, (hi - pattern[0]) / period, p)
+    shifts = period * np.arange(k_lo, k_hi + 1, dtype=float)
+    knots = (np.asarray(pattern) + shifts[:, None]).ravel()
     gaps = np.diff(knots)
     return ThetaGrid(
         kind="periodic-pattern",

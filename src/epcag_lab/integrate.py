@@ -14,18 +14,30 @@ whose M_j and c_j follow from the same stage polynomials in A and g at the
 step's three stage times t_j, t_j + h/2 and t_j + h.  So A and g are
 sampled once each at the 2n + 1 distinct stage times, the maps are built
 by batched matrix products, and a doubling prefix scan composes them into
-every step value, the final one included.  Only a right-hand side that
-reads y in any other way runs the step loop.
+every step value.  Only a right-hand side that reads y in any other way
+runs the step loop.
+
+The final value alone keeps the paper's integral representation
+y(t) = X(t, s) y(s) + int X(t, u) g(u) du exactly: it is
+
+    y_N = Phi y_0 + sum_k W_k g(s_k),   Phi = M_{N-1} ... M_0,
+
+over the 2N + 1 stage times s_k, with RK4 quadrature weights W_k that
+depend only on A, the interval and the step count (``WeightPlan``).  An
+unguarded ``rk4_final`` takes it from the weights, so a caller that
+evaluates many forcings or batches on one interval builds them once.  A
+guarded ``rk4_final`` and ``rk4_segment`` need every step value and keep
+the scan.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, IntegrationFailureError
+from .errors import BlowUpError, IntegrationFailureError, InvalidParameterError
 
-__all__ = ["Affine", "rk4_segment", "rk4_final", "propagator", "ScanPlan", "affine_scan",
-           "sample_A"]
+__all__ = ["Affine", "rk4_segment", "rk4_final", "propagator", "ScanPlan", "WeightPlan",
+           "affine_scan", "sample_A"]
 
 
 @dataclass(frozen=True)
@@ -80,6 +92,28 @@ def sample_A(A, times):
     return np.stack([np.asarray(A(t), dtype=float) for t in times])
 
 
+def _step_maps(A, t0, t1, n_steps):
+    """The stage samples and step maps of n_steps RK4 steps of y' = A(t) y.
+
+    Returns the step ``h``, the step times ``ts``, the 2 n_steps + 1 stage
+    times, A at the step times, the step midpoints and the step ends (one
+    (n, n) array each when A is constant), and M (n_steps, n, n).
+    """
+    h = (t1 - t0) / n_steps
+    ts = t0 + h * np.arange(n_steps + 1)
+    ts[-1] = t1
+    times = np.empty(2 * n_steps + 1)
+    times[0::2] = ts
+    times[1::2] = ts[:-1] + 0.5 * h
+    A = sample_A(A, times)
+    n = A.shape[-1]
+    if A.ndim == 2:
+        M = np.broadcast_to(_step_matrix(A, A, A, h), (n_steps, n, n))
+        return h, ts, times, (A, A, A), M
+    M = _step_matrix(A[0:-1:2], A[1::2], A[2::2], h)
+    return h, ts, times, (A[0::2], A[1::2], A[2::2]), M
+
+
 def _affine_steps(rhs, t0, t1, n_steps, y_shape):
     """The step maps of n_steps RK4 steps of an ``Affine`` right-hand side.
 
@@ -88,24 +122,10 @@ def _affine_steps(rhs, t0, t1, n_steps, y_shape):
     M (n_steps, n, n), c (n_steps, n, r) or None, and A and g at ``ts``
     (for the derivatives a stored trajectory keeps).
     """
-    h = (t1 - t0) / n_steps
-    ts = t0 + h * np.arange(n_steps + 1)
-    ts[-1] = t1
-    times = np.empty(2 * n_steps + 1)
-    times[0::2] = ts
-    times[1::2] = ts[:-1] + 0.5 * h
-    A = sample_A(rhs.A, times)
-    n = A.shape[-1]
-    if A.ndim == 2:
-        M = np.broadcast_to(_step_matrix(A, A, A, h), (n_steps, n, n))
-        A_ts = A
-        A_mid = A_end = A
-    else:
-        M = _step_matrix(A[0:-1:2], A[1::2], A[2::2], h)
-        A_ts = A[0::2]
-        A_mid, A_end = A[1::2], A[2::2]
+    h, ts, times, (A_ts, A_mid, A_end), M = _step_maps(rhs.A, t0, t1, n_steps)
     if rhs.g is None:
         return ts, M, None, A_ts, None
+    n = M.shape[-1]
     r = int(np.prod(y_shape)) // n
     G = np.broadcast_to(rhs.g(times), (len(times),) + tuple(y_shape))
     G = G.reshape(len(times), r, n).transpose(0, 2, 1)
@@ -185,6 +205,58 @@ def affine_scan(A, b, x0, out):
     _scan_b(_doubling(A), A, b, x0, out)
 
 
+class WeightPlan:
+    """The unguarded RK4 final value of ``Affine(A, g)`` from t0 to t1 in
+    N = n_steps steps, as a quadrature over the 2N + 1 stage times s_k:
+
+        y_N = Phi y_0 + sum_k W_k g(s_k),   Phi = M_{N-1} ... M_0.
+
+    Step j adds c_j = K0_j g(t_j) + Kmid_j g(t_j + h/2) + Kend_j g(t_j + h),
+    where the K are the ``_increment`` of a unit k1, g_mid or g_end, and
+    the suffix product P_j = M_{N-1} ... M_{j+1} carries c_j to t1.  So
+    W_{2j} gets P_j K0_j, W_{2j+1} = P_j Kmid_j and W_{2j+2} gets
+    P_j Kend_j, summed where two steps meet.  Phi and W (2N + 1, n, n)
+    depend only on A and ``span`` = (t0, t1, N), not on g or y_0.
+    """
+
+    def __init__(self, A, t0, t1, n_steps):
+        self.span = (t0, t1, n_steps)
+        h, _, self.times, (_, A_mid, A_end), M = _step_maps(A, t0, t1, n_steps)
+        n = M.shape[-1]
+        # the scan of the reversed, transposed maps composes at j the
+        # transpose of M_{N-1} ... M_{N-1-j}: P_{N-2-j} for j < N - 1, then Phi
+        R = np.array(M[::-1].transpose(0, 2, 1))
+        for _ in _doubling(R):
+            pass
+        self.Phi = R[-1].T
+        P = np.concatenate([R[-2::-1], np.eye(n)[None]]).transpose(0, 2, 1)
+        unit, zero = np.eye(n), np.zeros((n, n))
+        K = _increment(A_mid, A_end, h, np.hstack([unit, zero, zero]),
+                       g_mid=np.hstack([zero, unit, zero]),
+                       g_end=np.hstack([zero, zero, unit]))
+        PK = P @ K  # [P_j K0_j | P_j Kmid_j | P_j Kend_j]
+        self.W = np.zeros((2 * n_steps + 1, n, n))
+        self.W[0:-1:2] = PK[..., :n]
+        self.W[1::2] = PK[..., n:2 * n]
+        self.W[2::2] += PK[..., 2 * n:]
+
+    def apply(self, g, y):
+        """The final value from the states ``y`` (..., n) under the forcing
+        g (see ``Affine``; None is g = 0).  Row r of the result reads only
+        row r of y and of g's values."""
+        n = self.Phi.shape[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = y.reshape(-1, n) @ self.Phi.T
+            if g is not None:
+                G = np.broadcast_to(g(self.times), self.times.shape + y.shape)
+                G = G.reshape(len(self.times), -1, n)
+                # one einsum per weight entry, whose loop runs over the rows:
+                # a single einsum over (k, b) runs its loop over b, slowly
+                for a, b in np.ndindex(n, n):
+                    out[:, a] += np.einsum("k,km->m", self.W[:, a, b], G[:, :, b])
+        return out.reshape(y.shape)
+
+
 def _affine_trajectory(rhs, t0, y, t1, n_steps):
     """Step times, the step values as (n_steps + 1, n, r) columns, and the
     samples of ``_affine_steps``."""
@@ -252,17 +324,28 @@ def rk4_segment(rhs, t0, y0, t1, n_steps, guard=None):
     return ts, ys, ds
 
 
-def rk4_final(rhs, t0, y0, t1, n_steps, guard=None):
+def rk4_final(rhs, t0, y0, t1, n_steps, guard=None, plan=None):
     """Like rk4_segment but returns only the final state.
 
-    An ``Affine`` right-hand side takes the last value of the prefix scan.
+    An unguarded ``Affine`` right-hand side takes its final value from the
+    stage weights of ``plan``, a ``WeightPlan`` built for (t0, t1,
+    n_steps), or of a new one when none is given.  A guarded one runs the
+    prefix scan, whose every step value the guard sees.
     """
     y = np.asarray(y0, dtype=float)
+    if plan is not None and (guard is not None or not isinstance(rhs, Affine)
+                             or plan.span != (t0, t1, n_steps)):
+        raise InvalidParameterError(
+            f"a weight plan over {plan.span} does not fit an unguarded affine "
+            f"final value over {(t0, t1, n_steps)}")
     if isinstance(rhs, Affine):
+        if guard is None:
+            if plan is None:
+                plan = WeightPlan(rhs.A, t0, t1, n_steps)
+            return plan.apply(rhs.g, y)
         _, xs, _, _ = _affine_trajectory(rhs, t0, y, t1, n_steps)
-        if guard is not None:
-            # the times the step loop below reports, t0 + (j + 1) h
-            _check_guard(xs, t0 + ((t1 - t0) / n_steps) * np.arange(n_steps + 1), guard)
+        # the times the step loop below reports, t0 + (j + 1) h
+        _check_guard(xs, t0 + ((t1 - t0) / n_steps) * np.arange(n_steps + 1), guard)
         return _rows(xs[-1:], y.shape)[0]
     h = (t1 - t0) / n_steps
     t = t0

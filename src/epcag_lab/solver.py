@@ -8,8 +8,11 @@ RK4 stage); knots are non-smooth points and the integration mesh never
 steps across one.  Backward continuation inverts the one-interval
 shooting map x -> y(theta_{i+1}; theta_i, x) by damped Newton from a
 multi-start lattice, then polishes the distinct roots by plain Newton;
-one batched kernel, ``_newton``, runs both.  Preimages may fail to exist
-or be non-unique, and both outcomes are reported rather than hidden.
+one batched kernel, ``_newton``, runs both.  When f does not read y the
+shooting map is the RK4 quadrature of the integral representation, and
+one search builds its stage weights (``integrate.WeightPlan``) once for
+all its calls.  Preimages may fail to exist or be non-unique, and both
+outcomes are reported rather than hidden.
 """
 
 import math
@@ -24,7 +27,7 @@ from .errors import (
     OutOfWindowError,
 )
 from .expressions import raise_at_first_nonfinite
-from .integrate import Affine, rk4_final, rk4_segment
+from .integrate import Affine, WeightPlan, rk4_final, rk4_segment
 from .linear import check_backward_uniqueness
 from .system import state_vector
 
@@ -98,7 +101,8 @@ class SolutionPath:
 
 @dataclass
 class PreimageSet:
-    """Roots of the one-interval shooting map for a given target."""
+    """Roots of the one-interval shooting map for a given target, with the
+    search's deterministic work counts in ``diagnostics``."""
 
     interval: int
     t_target: float
@@ -107,6 +111,7 @@ class PreimageSet:
     residuals: list
     classification: str  # "none" | "unique" | "multiple"
     search_exhausted: bool
+    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         counts = {0: "none", 1: "unique"}
@@ -140,9 +145,7 @@ def _frozen_rhs(spec, w):
     ``eval_f`` does.
     """
     if spec.f_ignores_y:
-        A = spec.eval_A if spec.a_constant is None else np.asarray(
-            spec.a_constant, dtype=float).reshape(spec.n, spec.n)
-        return Affine(A, _forcing(spec, w))
+        return Affine(_affine_A(spec), _forcing(spec, w))
 
     f = _frozen_f(spec, w)
     if spec.a_constant is None:
@@ -159,6 +162,14 @@ def _frozen_rhs(spec, w):
         return dy
 
     return rhs_const
+
+
+def _affine_A(spec):
+    """A as the affine path takes it: the declared constant as an (n, n)
+    array, else ``spec.eval_A``."""
+    if spec.a_constant is None:
+        return spec.eval_A
+    return np.asarray(spec.a_constant, dtype=float).reshape(spec.n, spec.n)
 
 
 def _frozen_f(spec, w):
@@ -264,19 +275,26 @@ def solve_forward(spec, t0, y0, t_end, substeps=64, w0=None, guard=1e12):
     )
 
 
-def _phi_batch(spec, i, X, t_target, substeps):
+def _shooting_steps(spec, i, t_target, substeps):
+    """The start theta_i and the RK4 step count of the shooting map of
+    interval i to t_target."""
+    a, b = spec.grid.knot(i), spec.grid.knot(i + 1)
+    return a, _segment_steps(substeps, t_target - a, b - a)
+
+
+def _phi_batch(spec, i, X, t_target, substeps, plan=None):
     """Shooting values at t_target for a batch of interval start states.
 
     Row x of X is used both as the state at theta_i and as the frozen
     argument, which is exactly the map whose inversion defines backward
     continuation.  Overflowing rows come back non-finite instead of
-    raising, so a wild Newton start cannot kill the whole batch.
+    raising, so a wild Newton start cannot kill the whole batch.  ``plan``
+    is the ``WeightPlan`` of the affine path over this span, if one is
+    kept.
     """
-    a = spec.grid.knot(i)
-    b = spec.grid.knot(i + 1)
-    ns = _segment_steps(substeps, t_target - a, b - a)
+    a, ns = _shooting_steps(spec, i, t_target, substeps)
     with np.errstate(over="ignore", invalid="ignore"):
-        return rk4_final(_frozen_rhs(spec, X), a, X, t_target, ns, guard=None)
+        return rk4_final(_frozen_rhs(spec, X), a, X, t_target, ns, guard=None, plan=plan)
 
 
 def shooting_map(spec, i, x0, substeps=64):
@@ -421,6 +439,11 @@ def back_continue_interval(spec, i, t_target, x_target, substeps=64,
     steps), starting from the search's residuals and Jacobians there.  An
     empty result is reported as classification "none" with the search
     budget flagged as exhausted (absence of roots is not proved).
+
+    When ``spec.f_ignores_y`` holds, every shooting-map call of the search
+    shares one ``WeightPlan`` of the span.  The result's ``diagnostics``
+    count the calls (``shooting_calls``) and their rows
+    (``shooting_rows``) and name the ``path``, "weights" or "loop".
     """
     grid = spec.grid
     a, b = grid.knot(i), grid.knot(i + 1)
@@ -438,7 +461,18 @@ def back_continue_interval(spec, i, t_target, x_target, substeps=64,
     starts = np.stack([m.ravel() for m in mesh], axis=1)
     tol_abs = root_tol * (1.0 + size)
 
-    phi = lambda X: _phi_batch(spec, i, X, t_target, substeps)
+    # when f does not read y every call shares one weight plan of the span
+    plan = None
+    if spec.f_ignores_y:
+        plan = WeightPlan(_affine_A(spec), a, t_target,
+                          _shooting_steps(spec, i, t_target, substeps)[1])
+    work = {"shooting_calls": 0, "shooting_rows": 0}
+
+    def phi(X):
+        work["shooting_calls"] += 1
+        work["shooting_rows"] += len(X)
+        return _phi_batch(spec, i, X, t_target, substeps, plan)
+
     rows = _newton(phi, x_target, _NewtonRows.at(phi, x_target, starts), tol_abs, 50, 8, 1e-4)
     roots = np.flatnonzero(np.isfinite(rows.rn) & (rows.rn <= tol_abs))
 
@@ -467,6 +501,7 @@ def back_continue_interval(spec, i, t_target, x_target, substeps=64,
         preimages=preimages, residuals=residuals,
         classification=classification,
         search_exhausted=(len(preimages) == 0),
+        diagnostics={**work, "path": "loop" if plan is None else "weights"},
     )
 
 

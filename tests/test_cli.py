@@ -311,6 +311,21 @@ def test_non_finite_config_value_is_invalid_parameter(tmp_path, capsys, config, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", [
+    "kind = uniform\nstep = 1.0\noffset = 0.0\nwindow = 0 1e300",
+    "kind = periodic-pattern\npattern = 0 0.5\nperiod = 1.0\nwindow = 0 1e300",
+], ids=["uniform", "periodic"])
+def test_window_with_too_many_knots_is_invalid_parameter(tmp_path, capsys, grid):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(CONFIG.replace(_GRID, grid))
+    out = tmp_path / "out"
+    code = run(["check", str(cfg), "-o", str(out), "--stamp", "T"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "more than 10**7" in err
+    assert not out.exists()
+
+
 def test_malformed_config_exits_with_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(CONFIG.replace("n = 1", "n = 0"))

@@ -195,3 +195,22 @@ NAN, INF = float("nan"), float("inf")
 def test_non_finite_parameters_rejected(make):
     with pytest.raises(InvalidParameterError, match="must be finite"):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_uniform_grid(1.0, 0.0, (0.0, 1e300)),
+    lambda: make_uniform_grid(1e-300, 0.0, (0.0, 1e300)),
+    lambda: make_uniform_grid(1.0, 0.0, (0.0, 1e7)),
+    lambda: make_periodic_grid([0.0, 0.5], 1.0, (0.0, 1e300)),
+    lambda: make_periodic_grid([0.0, 0.5], 1.0, (-2.5e6, 2.5e6)),
+], ids=["uniform-1e300", "uniform-span-overflows", "uniform-just-over",
+        "periodic-1e300", "periodic-just-over"])
+def test_window_with_too_many_knots_is_refused_before_allocating(make):
+    with pytest.raises(InvalidParameterError, match=r"knots, more than 10\*\*7"):
+        make()
+
+
+def test_long_window_below_the_knot_bound_is_built():
+    g = make_periodic_grid([0.0, 0.25, 0.5], 1.0, (-1e4, 1e4))
+    assert len(g.knots) == 3 * 20003
+    assert g.knots[0] == -10001.0 and g.knots[-1] == 10001.5

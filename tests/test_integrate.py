@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from epcag_lab import solver
-from epcag_lab.errors import BlowUpError, EvaluationError
-from epcag_lab.integrate import Affine, propagator, rk4_final, rk4_segment
+from epcag_lab.errors import BlowUpError, EvaluationError, InvalidParameterError
+from epcag_lab.grid import make_uniform_grid
+from epcag_lab.integrate import Affine, WeightPlan, propagator, rk4_final, rk4_segment
 from epcag_lab.linear import fundamental_matrix
 from epcag_lab.solver import shooting_map, solve_forward
-from epcag_lab.system import REGISTRY_NAMES, get_problem, parse_system
+from epcag_lab.system import REGISTRY_NAMES, SystemSpec, get_problem, parse_system
 
 RTOL = 1e-12
 
@@ -218,3 +219,113 @@ def test_domain_error_of_a_single_state_still_raises():
         solve_forward(spec, 0.0, [0.0, 1.0], 1.0)
     out = solver._phi_batch(spec, 0, np.array([[0.0, 1.0], [0.5, 1.0]]), 1.0, 32)
     assert np.isnan(out[0]).all() and np.isfinite(out[1]).all()
+
+
+# ---------------------------------------------------------------------------
+# the stage weights of the final value against the scan
+# ---------------------------------------------------------------------------
+
+def _scan_final(rhs, t0, y, t1, n_steps):
+    """The last step value of the prefix scan, as rk4_segment keeps it."""
+    return rk4_segment(rhs, t0, y, t1, n_steps)[1][-1]
+
+
+def _time_varying_spec(n):
+    """A system with a time-varying A(t) and an f that reads only t and w."""
+    def f(t, y, w):
+        return np.sin(2.0 * np.asarray(t)[..., None] + w) + 0.3 * w ** 2
+
+    return SystemSpec(n=n, A=_time_varying_A(n), f=f,
+                      grid=make_uniform_grid(1.0, 0.0, (-2.0, 4.0)),
+                      mu=2.0, lip=1.0, f_ignores_y=True)
+
+
+_WEIGHT_SPECS = dict(_SPECS)
+for _n in (1, 2, 3):
+    _WEIGHT_SPECS[f"time-varying-n{_n}"] = lambda n=_n: _time_varying_spec(n)
+
+
+@pytest.mark.parametrize("key", list(_WEIGHT_SPECS))
+@pytest.mark.parametrize("substeps", [64, 128])
+def test_weights_match_scan_on_the_shooting_map(key, substeps):
+    spec = _WEIGHT_SPECS[key]()
+    assert spec.f_ignores_y
+    i = 1
+    a, b = spec.grid.knot(i), spec.grid.knot(i + 1)
+    X = np.random.default_rng(substeps).uniform(-2.0, 2.0, (40, spec.n))
+    for t_target in (b, a + 0.3 * (b - a)):
+        _, ns = solver._shooting_steps(spec, i, t_target, substeps)
+        rhs = solver._frozen_rhs(spec, X)
+        got = solver._phi_batch(spec, i, X, t_target, substeps,
+                                WeightPlan(rhs.A, a, t_target, ns))
+        _close(got, _scan_final(rhs, a, X, t_target, ns))
+        # without a plan rk4_final builds the same one
+        assert np.array_equal(got, solver._phi_batch(spec, i, X, t_target, substeps))
+
+
+def _forced(n, rows):
+    A = _time_varying_A(n)
+    W = np.random.default_rng(20 + n).uniform(-1.0, 1.0, (rows, n))
+
+    def g(ts):
+        return np.sin(2.0 * np.asarray(ts)[:, None, None] + W) + 0.3 * W ** 2
+
+    return A, W, g
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_weights_of_a_backward_span_match_scan(n):
+    A, W, g = _forced(n, 5)
+    _close(rk4_final(Affine(A, g), 0.8, W, -0.3, 33), _scan_final(Affine(A, g), 0.8, W, -0.3, 33))
+    _close(rk4_final(Affine(A), 0.8, W, -0.3, 33), _scan_final(Affine(A), 0.8, W, -0.3, 33))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_an_overflowing_row_stays_row_local_in_the_weights(n):
+    A, W, g = _forced(n, 6)
+    plan = WeightPlan(A, 0.0, 1.0, 64)
+    X = np.array(W)
+    X[1], X[4] = 1e308, -np.inf  # huge and overflowed states
+
+    def g_bad(ts):  # row 2's forcing overflows at some stage times
+        G = np.array(g(ts))
+        G[::7, 2] = 1e308
+        return G * np.where(np.arange(len(W)) == 2, 10.0, 1.0)[:, None]
+
+    with np.errstate(over="ignore"):
+        out = plan.apply(g_bad, X)
+    keep = [0, 3, 5]
+    assert np.isfinite(out[keep]).all()
+    assert not np.isfinite(out[[2, 4]]).all(axis=1).any()
+    alone = plan.apply(lambda ts: g(ts)[:, keep], X[keep])
+    _close(out[keep], alone)
+    _close(alone, _scan_final(Affine(A, lambda ts: g(ts)[:, keep]), 0.0, X[keep], 1.0, 64))
+
+
+def test_domain_error_of_a_single_state_on_the_weights_keeps_its_position():
+    spec = parse_system(_Y_FREE_CONFIG.replace("0.05*sin(w2)", "0.05*sin(w2) + 0.01/w1"))
+    assert spec.f_ignores_y
+    x = np.array([0.0, 1.0])
+    messages = []
+    for s in (spec, _loop(spec)):
+        with pytest.raises(EvaluationError) as exc:
+            solver._phi_batch(s, 0, x, 1.0, 32)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] == "division by zero at line 8, column 25"
+    out = solver._phi_batch(spec, 0, np.array([x, [0.5, 1.0]]), 1.0, 32)
+    assert np.isnan(out[0]).all() and np.isfinite(out[1]).all()
+
+
+@pytest.mark.parametrize("call", [
+    lambda rhs, y, plan: rk4_final(rhs, 0.0, y, 1.0, 32, plan=plan),
+    lambda rhs, y, plan: rk4_final(rhs, 0.1, y, 1.0, 64, plan=plan),
+    lambda rhs, y, plan: rk4_final(rhs, 0.0, y, 0.9, 64, plan=plan),
+    lambda rhs, y, plan: rk4_final(rhs, 0.0, y, 1.0, 64, guard=1e12, plan=plan),
+    lambda rhs, y, plan: rk4_final(lambda t, y: y, 0.0, y, 1.0, 64, plan=plan),
+], ids=["steps", "start", "end", "guarded", "step-loop"])
+def test_a_plan_that_does_not_fit_is_refused(call):
+    A, W, g = _forced(2, 3)
+    plan = WeightPlan(A, 0.0, 1.0, 64)
+    rk4_final(Affine(A, g), 0.0, W, 1.0, 64, plan=plan)  # the span it was built for
+    with pytest.raises(InvalidParameterError, match="weight plan"):
+        call(Affine(A, g), W, plan)

@@ -370,9 +370,9 @@ def _counting_phi(monkeypatch, spec, i, t_target, substeps=64):
     calls = []
     inner = solver._phi_batch
 
-    def counted(spec, i, X, t_target, substeps):
+    def counted(spec, i, X, *rest):
         calls.append(len(X))
-        return inner(spec, i, X, t_target, substeps)
+        return inner(spec, i, X, *rest)
 
     monkeypatch.setattr(solver, "_phi_batch", counted)
     return (lambda X: solver._phi_batch(spec, i, X, t_target, substeps)), calls
@@ -825,3 +825,58 @@ def test_state_vector_takes_any_shape_of_n_elements():
     flat = solve_forward(spec, 0.0, [0.3, -0.2], 2.0)
     column = solve_forward(spec, 0.0, np.array([[0.3], [-0.2]]), 2.0)
     assert np.array_equal(flat.ys, column.ys)
+
+
+def _counting_plans(monkeypatch):
+    """Log every weight plan built, with its span."""
+    spans = []
+    inner = integrate.WeightPlan.__init__
+
+    def counted(self, A, t0, t1, n_steps):
+        spans.append((t0, t1, n_steps))
+        inner(self, A, t0, t1, n_steps)
+
+    monkeypatch.setattr(integrate.WeightPlan, "__init__", counted)
+    return spans
+
+
+@pytest.mark.parametrize("substeps", [64, 128])
+def test_one_weight_plan_per_search(monkeypatch, substeps):
+    spans = _counting_plans(monkeypatch)
+    spec = get_problem("paper-example-1")
+    for z in (-2.0, 1.0, 4.0):
+        ps = back_continue_interval(spec, 0, 1.0, [z], substeps=substeps)
+        assert ps.diagnostics["path"] == "weights"
+    assert spans == [(0.0, 1.0, substeps)] * 3
+    ps = back_continue_interval(spec, 0, 0.5, [1.0], substeps=substeps)
+    assert spans[-1] == (0.0, 0.5, substeps // 2)
+
+
+def test_one_weight_plan_per_interval_of_a_chain(monkeypatch):
+    spans = _counting_plans(monkeypatch)
+    bc = back_continue(get_problem("periodic-coupled", window=(0.0, 6.0)), 6.0, [0.7], 0.0)
+    assert bc.ok and len(bc.steps) == 12
+    assert len(spans) == 12
+    assert [s.diagnostics["path"] for s in bc.steps] == ["weights"] * 12
+
+
+def test_the_step_loop_builds_no_weight_plan(monkeypatch):
+    spans = _counting_plans(monkeypatch)
+    spec = parse_system(N2_CONFIG)
+    target = solve_forward(spec, 0.0, [0.4, -0.3], 1.0).ys[-1]
+    ps = back_continue_interval(spec, 0, 1.0, target)
+    assert ps.classification == "unique" and ps.diagnostics["path"] == "loop"
+    assert spans == []
+
+
+@pytest.mark.parametrize("make, target", [
+    (lambda: get_problem("paper-example-1"), [1.0]),
+    (lambda: parse_system(N2_CONFIG), [0.3, -0.2]),
+    (lambda: parse_system(DOMAIN_ERROR_CONFIG), [0.3, -0.2]),
+], ids=["example1", "config-n2", "domain-error"])
+def test_search_work_counts_are_deterministic(monkeypatch, make, target):
+    _, calls = _counting_phi(monkeypatch, make(), 0, 1.0)
+    first = back_continue_interval(make(), 0, 1.0, target).diagnostics
+    assert first == {"shooting_calls": len(calls), "shooting_rows": sum(calls),
+                     "path": first["path"]}
+    assert back_continue_interval(make(), 0, 1.0, target).diagnostics == first
