@@ -23,11 +23,11 @@ y(t) = X(t, s) y(s) + int X(t, u) g(u) du exactly: it is
     y_N = Phi y_0 + sum_k W_k g(s_k),   Phi = M_{N-1} ... M_0,
 
 over the 2N + 1 stage times s_k, with RK4 quadrature weights W_k that
-depend only on A, the interval and the step count (``WeightPlan``).  An
-unguarded ``rk4_final`` takes it from the weights, so a caller that
-evaluates many forcings or batches on one interval builds them once.  A
-guarded ``rk4_final`` and ``rk4_segment`` need every step value and keep
-the scan.
+depend only on A, the interval and the step count (``WeightPlan``).
+``rk4_final`` takes it from the weights, so a caller that evaluates many
+forcings or batches on one interval builds them once.  ``rk4_segment``
+needs every step value, for the trajectory and for its overflow guard,
+and keeps the scan; it is the one integrator that takes a guard.
 """
 
 from dataclasses import dataclass
@@ -112,25 +112,6 @@ def _step_maps(A, t0, t1, n_steps):
         return h, ts, times, (A, A, A), M
     M = _step_matrix(A[0:-1:2], A[1::2], A[2::2], h)
     return h, ts, times, (A[0::2], A[1::2], A[2::2]), M
-
-
-def _affine_steps(rhs, t0, t1, n_steps, y_shape):
-    """The step maps of n_steps RK4 steps of an ``Affine`` right-hand side.
-
-    States are columns: y of shape y_shape holds r = size/n states, which
-    the maps act on as an (n, r) matrix.  Returns the step times ``ts``,
-    M (n_steps, n, n), c (n_steps, n, r) or None, and A and g at ``ts``
-    (for the derivatives a stored trajectory keeps).
-    """
-    h, ts, times, (A_ts, A_mid, A_end), M = _step_maps(rhs.A, t0, t1, n_steps)
-    if rhs.g is None:
-        return ts, M, None, A_ts, None
-    n = M.shape[-1]
-    r = int(np.prod(y_shape)) // n
-    G = np.broadcast_to(rhs.g(times), (len(times),) + tuple(y_shape))
-    G = G.reshape(len(times), r, n).transpose(0, 2, 1)
-    c = _increment(A_mid, A_end, h, G[0:-1:2], g_mid=G[1::2], g_end=G[2::2])
-    return ts, M, c, A_ts, G[0::2]
 
 
 def _doubling(A):
@@ -243,7 +224,11 @@ class WeightPlan:
     def apply(self, g, y):
         """The final value from the states ``y`` (..., n) under the forcing
         g (see ``Affine``; None is g = 0).  Row r of the result reads only
-        row r of y and of g's values."""
+        row r of y and of g's values, so its value does not depend on the
+        batch; its last bits may, since the sums run in an order that
+        depends on the number of rows, and a row evaluated alone can differ
+        by an ulp from the same row in a batch.  Equal calls give equal
+        bits."""
         n = self.Phi.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):
             out = y.reshape(-1, n) @ self.Phi.T
@@ -257,19 +242,6 @@ class WeightPlan:
         return out.reshape(y.shape)
 
 
-def _affine_trajectory(rhs, t0, y, t1, n_steps):
-    """Step times, the step values as (n_steps + 1, n, r) columns, and the
-    samples of ``_affine_steps``."""
-    n = y.shape[-1]
-    ts, M, c, A_ts, g_ts = _affine_steps(rhs, t0, t1, n_steps, y.shape)
-    x0 = y.reshape(-1, n).T
-    xs = np.empty((n_steps + 1,) + x0.shape)
-    xs[0] = x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        affine_scan(np.array(M), c, x0, xs[1:])
-    return ts, xs, A_ts, g_ts
-
-
 def _rows(xs, y_shape):
     """(k, n, r) column states back to (k,) + y_shape."""
     return xs.transpose(0, 2, 1).reshape((len(xs),) + tuple(y_shape))
@@ -279,14 +251,6 @@ def _blow_up(guard, t):
     return BlowUpError(f"solution exceeded overflow guard {guard:g} at t={t:g}", t=float(t))
 
 
-def _check_guard(ys, ts, guard):
-    """Raise BlowUpError at the first step value not below ``guard``;
-    ``ys`` stacks the step values along axis 0, in any layout."""
-    bad = ~np.all(np.abs(ys[1:].reshape(len(ys) - 1, -1)) < guard, axis=1)
-    if bad.any():
-        raise _blow_up(guard, ts[int(np.argmax(bad)) + 1])
-
-
 def rk4_segment(rhs, t0, y0, t1, n_steps, guard=None):
     """Integrate y' = rhs(t, y) from t0 to t1, storing every step.
 
@@ -294,19 +258,35 @@ def rk4_segment(rhs, t0, y0, t1, n_steps, guard=None):
     and ds the stored derivatives rhs(t_j, y_j).  ``y0`` may carry any
     leading batch axes; ``rhs`` must broadcast accordingly, or be an
     ``Affine``, whose steps come from the prefix scan.  t1 < t0
-    integrates backward.
+    integrates backward.  With a ``guard``, the first step value not
+    below it in absolute value raises BlowUpError at its step time.
     """
     y = np.asarray(y0, dtype=float)
     if n_steps < 1:
         raise IntegrationFailureError("need at least one step")
     if isinstance(rhs, Affine):
-        ts, xs, A_ts, g_ts = _affine_trajectory(rhs, t0, y, t1, n_steps)
+        # states are columns: y holds r = size/n states, which the step
+        # maps act on as an (n, r) matrix
+        h, ts, times, (A_ts, A_mid, A_end), M = _step_maps(rhs.A, t0, t1, n_steps)
+        n = y.shape[-1]
+        x0 = y.reshape(-1, n).T
+        c = None
+        if rhs.g is not None:
+            G = np.broadcast_to(rhs.g(times), times.shape + y.shape)
+            G = G.reshape(len(times), -1, n).transpose(0, 2, 1)
+            c = _increment(A_mid, A_end, h, G[0:-1:2], g_mid=G[1::2], g_end=G[2::2])
+        xs = np.empty((n_steps + 1,) + x0.shape)
+        xs[0] = x0
+        with np.errstate(over="ignore", invalid="ignore"):
+            affine_scan(np.array(M), c, x0, xs[1:])
         ys = _rows(xs, y.shape)
         if guard is not None:
-            _check_guard(ys, ts, guard)
+            bad = ~np.all(np.abs(ys[1:].reshape(n_steps, -1)) < guard, axis=1)
+            if bad.any():
+                raise _blow_up(guard, ts[int(np.argmax(bad)) + 1])
         dx = A_ts @ xs
-        if g_ts is not None:
-            dx += g_ts
+        if rhs.g is not None:
+            dx += G[0::2]
         return ts, ys, _rows(dx, y.shape)
     h = (t1 - t0) / n_steps
     ts = t0 + h * np.arange(n_steps + 1)
@@ -324,36 +304,29 @@ def rk4_segment(rhs, t0, y0, t1, n_steps, guard=None):
     return ts, ys, ds
 
 
-def rk4_final(rhs, t0, y0, t1, n_steps, guard=None, plan=None):
-    """Like rk4_segment but returns only the final state.
+def rk4_final(rhs, t0, y0, t1, n_steps, plan=None):
+    """The final state of the RK4 steps of rk4_segment, with no guard.
 
-    An unguarded ``Affine`` right-hand side takes its final value from the
-    stage weights of ``plan``, a ``WeightPlan`` built for (t0, t1,
-    n_steps), or of a new one when none is given.  A guarded one runs the
-    prefix scan, whose every step value the guard sees.
+    An ``Affine`` right-hand side takes it from the stage weights of
+    ``plan``, a ``WeightPlan`` built for (t0, t1, n_steps), or of a new
+    one when none is given (equal to the scan's last step value to
+    rounding); any other runs the RK4 step loop.  A caller that needs
+    the overflow guard takes ``rk4_segment``.
     """
     y = np.asarray(y0, dtype=float)
-    if plan is not None and (guard is not None or not isinstance(rhs, Affine)
-                             or plan.span != (t0, t1, n_steps)):
+    if plan is not None and (not isinstance(rhs, Affine) or plan.span != (t0, t1, n_steps)):
         raise InvalidParameterError(
-            f"a weight plan over {plan.span} does not fit an unguarded affine "
-            f"final value over {(t0, t1, n_steps)}")
+            f"a weight plan over {plan.span} does not fit an affine final value "
+            f"over {(t0, t1, n_steps)}")
     if isinstance(rhs, Affine):
-        if guard is None:
-            if plan is None:
-                plan = WeightPlan(rhs.A, t0, t1, n_steps)
-            return plan.apply(rhs.g, y)
-        _, xs, _, _ = _affine_trajectory(rhs, t0, y, t1, n_steps)
-        # the times the step loop below reports, t0 + (j + 1) h
-        _check_guard(xs, t0 + ((t1 - t0) / n_steps) * np.arange(n_steps + 1), guard)
-        return _rows(xs[-1:], y.shape)[0]
+        if plan is None:
+            plan = WeightPlan(rhs.A, t0, t1, n_steps)
+        return plan.apply(rhs.g, y)
     h = (t1 - t0) / n_steps
     t = t0
     for j in range(n_steps):
         y = _rk4_step(rhs, t, y, h, rhs(t, y))
         t = t0 + (j + 1) * h
-        if guard is not None and not np.all(np.abs(y) < guard):
-            raise _blow_up(guard, t)
     return y
 
 
@@ -365,19 +338,20 @@ def propagator(A, s, t, n_steps=None):
     RK4 steps default to max(4, ceil(256 |t - s|)).  The result is the
     product M_{n-1} ... M_0 of the RK4 step matrices, which equals the
     step loop to rounding.  A callable is sampled once per distinct stage
-    time and the product is the last value of the prefix scan.  For an
-    array every step matrix is R(hA), R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
-    built once and raised to the power by repeated squaring.
+    time and the product is the last map that the doubling scan of the
+    step matrices composes.  For an array every step matrix is R(hA),
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, built once and raised to the
+    power by repeated squaring.
     """
     if n_steps is None:
         n_steps = max(4, int(np.ceil(abs(t - s) * 256)))
     if not isinstance(A, np.ndarray):
         if t == s:
             return np.eye(np.asarray(A(s)).shape[0])
-        _, M, _, _, _ = _affine_steps(Affine(A), s, t, n_steps, (0,))
-        out = np.empty(M.shape)
-        affine_scan(np.array(M), None, np.eye(M.shape[-1]), out)
-        return out[-1]
+        M = np.array(_step_maps(A, s, t, n_steps)[-1])
+        for _ in _doubling(M):
+            pass
+        return M[-1]
     A = np.asarray(A, dtype=float)
     if t == s or A.shape[0] == 0:
         return np.eye(A.shape[0])

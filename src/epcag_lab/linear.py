@@ -104,8 +104,7 @@ def fundamental_matrix(spec, t, s):
     lo, hi = spec.grid.window
     if not (lo <= t <= hi and lo <= s <= hi):
         raise OutOfWindowError(f"t={t}, s={s} outside window [{lo}, {hi}]")
-    A = spec.eval_A if spec.a_constant is None else np.asarray(spec.a_constant, dtype=float)
-    return propagator(A, s, t)
+    return propagator(spec.coefficient, s, t)
 
 
 def flow_bounds(spec):
@@ -202,13 +201,23 @@ def dichotomy_for_constant_A(A):
     )
 
 
+def _require_finite(**values):
+    """Raise InvalidParameterError naming the first value that is not finite:
+    an inequality of a NaN or infinite constant has no verdict."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value}")
+
+
 def check_backward_uniqueness(mu, lip, theta):
     """Injectivity margin of the one-interval shooting map.
 
     Evaluates lip*M*theta*(1 + M*(1+lip*theta)*exp(M*lip*theta)) against
     m with M = exp(mu*theta), m = exp(-mu*theta); holds iff lhs < rhs.
     The verdict is the InequalityCheck named "backward_uniqueness".
+    Raises InvalidParameterError when an argument is not finite.
     """
+    _require_finite(mu=mu, lip=lip, theta=theta)
     if mu < 0 or lip < 0 or theta <= 0:
         raise InvalidParameterError("need mu >= 0, lip >= 0, theta > 0")
     M = math.exp(mu * theta)
@@ -229,8 +238,10 @@ def check_smallness(K, sigma, alpha, theta, L, eps):
 
     The first three govern the manifold iteration, sup_contraction the
     bounded-solution iteration, cone_trapping the off-manifold growth
-    estimates.  Overall pass iff every inequality holds.
+    estimates.  Overall pass iff every inequality holds.  Raises
+    InvalidParameterError when an argument is not finite.
     """
+    _require_finite(K=K, sigma=sigma, alpha=alpha, theta=theta, L=L, eps=eps)
     if not (0 < alpha < sigma):
         raise InvalidParameterError(f"need 0 < alpha < sigma, got alpha={alpha}, sigma={sigma}")
     if K < 1:

@@ -135,41 +135,31 @@ class BackwardContinuation:
 def _frozen_rhs(spec, w):
     """Right-hand side t, y -> A(t) y + f(t, y, w) with w held frozen.
 
-    When ``spec.f_ignores_y`` is set the equation is affine in y with the
-    forcing f(t, w), and the result is an ``integrate.Affine`` that the
-    integrators take in closed form.  Otherwise it is a callable for the
-    RK4 step loop, which takes f from ``_frozen_f``.  When
-    ``spec.a_constant`` is set it must equal A(t) for every t; it is then
-    used in place of A (transposed once for the loop).  A scalar or short
-    f result is broadcast to the shape of y by the addition, as
+    A is ``spec.coefficient``: the declared constant as an array, else
+    ``spec.eval_A``.  When ``spec.f_ignores_y`` is set the equation is
+    affine in y with the forcing f(t, w), and the result is an
+    ``integrate.Affine`` that the integrators take in closed form.
+    Otherwise it is a callable for the RK4 step loop, which takes f from
+    ``_frozen_f`` (a constant A is transposed once for it).  A scalar or
+    short f result is broadcast to the shape of y by the addition, as
     ``eval_f`` does.
     """
+    A = spec.coefficient
     if spec.f_ignores_y:
-        return Affine(_affine_A(spec), _forcing(spec, w))
+        return Affine(A, _forcing(spec, w))
 
     f = _frozen_f(spec, w)
-    if spec.a_constant is None:
-        def rhs(t, y):
-            return y @ spec.eval_A(t).T + f(t, y)
+    if callable(A):
+        return lambda t, y: y @ A(t).T + f(t, y)
 
-        return rhs
+    AT = A.T
 
-    AT = np.asarray(spec.a_constant, dtype=float).reshape(spec.n, spec.n).T
-
-    def rhs_const(t, y):
+    def rhs(t, y):
         dy = y @ AT
         dy += f(t, y)
         return dy
 
-    return rhs_const
-
-
-def _affine_A(spec):
-    """A as the affine path takes it: the declared constant as an (n, n)
-    array, else ``spec.eval_A``."""
-    if spec.a_constant is None:
-        return spec.eval_A
-    return np.asarray(spec.a_constant, dtype=float).reshape(spec.n, spec.n)
+    return rhs
 
 
 def _frozen_f(spec, w):
@@ -294,18 +284,21 @@ def _phi_batch(spec, i, X, t_target, substeps, plan=None):
     """
     a, ns = _shooting_steps(spec, i, t_target, substeps)
     with np.errstate(over="ignore", invalid="ignore"):
-        return rk4_final(_frozen_rhs(spec, X), a, X, t_target, ns, guard=None, plan=plan)
+        return rk4_final(_frozen_rhs(spec, X), a, X, t_target, ns, plan=plan)
 
 
 def shooting_map(spec, i, x0, substeps=64):
-    """One-interval forward map x -> y(theta_{i+1}; theta_i, x)."""
+    """One-interval forward map x -> y(theta_{i+1}; theta_i, x).
+
+    The interval is integrated as ``solve_forward`` integrates it, with
+    the same overflow guard, 1e12.
+    """
     lo, hi = spec.grid.window
     a, b = spec.grid.knot(i), spec.grid.knot(i + 1)
     if a < lo or b > hi:
         raise OutOfWindowError(f"interval [{a}, {b}] not inside window")
     x0 = state_vector(x0, spec.n, "x0")
-    rhs = _frozen_rhs(spec, x0)
-    return rk4_final(rhs, a, x0, b, max(2, substeps), guard=1e12)
+    return rk4_segment(_frozen_rhs(spec, x0), a, x0, b, max(2, substeps), guard=1e12)[1][-1]
 
 
 def _fd_jacobian(phi, X):
@@ -464,7 +457,7 @@ def back_continue_interval(spec, i, t_target, x_target, substeps=64,
     # when f does not read y every call shares one weight plan of the span
     plan = None
     if spec.f_ignores_y:
-        plan = WeightPlan(_affine_A(spec), a, t_target,
+        plan = WeightPlan(spec.coefficient, a, t_target,
                           _shooting_steps(spec, i, t_target, substeps)[1])
     work = {"shooting_calls": 0, "shooting_rows": 0}
 

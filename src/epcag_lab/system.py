@@ -60,10 +60,11 @@ class SystemSpec:
     name: str = "custom"
     mu_estimated: bool = False
     lip_estimated: bool = False
-    # When set, a_constant must equal A(t) for every t: the solver then uses
-    # it in place of A (one transpose per run, no eval_A call per stage), and
-    # fundamental_matrix and reduce pass it (or its blocks) on as the array
-    # coefficient that integrate.propagator takes in closed form.
+    # When set, a_constant must equal A(t) for every t: ``coefficient`` then
+    # returns it, so the solver uses it in place of A (one transpose per run,
+    # no eval_A call per stage), and fundamental_matrix and reduce pass it
+    # (or its blocks) on as the array coefficient that integrate.propagator
+    # takes in closed form.
     a_constant: np.ndarray | None = None
     # When set, f(t, y, w) must not depend on y: between two knots the
     # equation is then affine in y with the forcing f(t, w), and the solver
@@ -77,6 +78,14 @@ class SystemSpec:
         return sample_A(self.A, t).reshape(-1, self.n, self.n)
 
     eval_A.takes_time_arrays = True
+
+    @property
+    def coefficient(self):
+        """A as the integrators take it: ``a_constant`` as an (n, n) float
+        array when declared, else ``eval_A``."""
+        if self.a_constant is None:
+            return self.eval_A
+        return np.asarray(self.a_constant, dtype=float).reshape(self.n, self.n)
 
     def eval_f(self, t, y, w):
         y = np.asarray(y, dtype=float)

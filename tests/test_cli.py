@@ -28,9 +28,13 @@ h0 = 0.5
 """
 
 
+def _not_json(constant):
+    raise ValueError(f"report holds {constant}, which is not JSON")
+
+
 def _validate(path):
     jsonschema = pytest.importorskip("jsonschema")
-    payload = json.loads(path.read_text())
+    payload = json.loads(path.read_text(), parse_constant=_not_json)
     jsonschema.validate(payload, load_schema())
     return payload
 
@@ -218,6 +222,20 @@ def test_check_exit_reflects_verdict(tmp_path):
     assert bad == 4
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--mu", "nan", "--l", "0.1", "--theta", "1"], "mu must be finite"),
+    (["--mu", "1", "--l", "0.1", "--theta", "1", "--K", "nan", "--sigma", "1"],
+     "K must be finite"),
+], ids=["mu-nan", "K-nan"])
+def test_check_of_a_non_finite_flag_is_invalid_parameter(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    code = run(["check", *argv, "-o", str(out), "--stamp", "T"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_check_with_problem(tmp_path, capsys):
     code = run(["check", "--problem", "paper-example-1", "--l", "0.01",
                 "--mu", "2", "--theta", "1", "-o", str(tmp_path), "--stamp", "T"])
@@ -297,9 +315,11 @@ _H0_NAN = CONFIG.replace("h0 = 0.5", "h0 = nan")
      "periods must be positive and finite"),
     (CONFIG.replace("h0 = 0.5", "h0 = 0.5\nperiod = inf"), ["periodic"],
      "periods must be positive and finite"),
+    (CONFIG.replace("mu = 1.0", "mu = nan"), ["check"], "mu must be finite"),
+    (CONFIG.replace("lip = 0.1", "lip = inf"), ["check"], "lip must be finite"),
 ], ids=["step-nan", "offset-nan", "window-inf", "knots-inf", "grid-period-nan",
         "A-inf-check", "A-inf-bounded", "A-inf-reduce", "A-inf-periodic", "A-inf-manifold",
-        "h0-nan-bounded", "h0-nan-periodic", "period-nan", "period-inf"])
+        "h0-nan-bounded", "h0-nan-periodic", "period-nan", "period-inf", "mu-nan", "lip-inf"])
 def test_non_finite_config_value_is_invalid_parameter(tmp_path, capsys, config, argv, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(config)

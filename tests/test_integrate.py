@@ -222,6 +222,54 @@ def test_domain_error_of_a_single_state_still_raises():
 
 
 # ---------------------------------------------------------------------------
+# one guarded forward path: the shooting map is the end of solve_forward's
+# segment, bit for bit, on the affine path and on both step-loop closures
+# ---------------------------------------------------------------------------
+
+_FORWARD_SPECS = {name: (lambda name=name: get_problem(name)) for name in REGISTRY_NAMES}
+_FORWARD_SPECS["diag-dichotomy-state"] = lambda: get_problem(
+    "diag-dichotomy", coupling=0.3, coupling_arg="state")
+_FORWARD_SPECS["config-y-reading"] = lambda: parse_system(
+    _Y_FREE_CONFIG.replace("0.02*w1^2", "0.02*y1^2"))
+_FORWARD_SPECS["time-varying-n2"] = lambda: _time_varying_spec(2)
+
+
+@pytest.mark.parametrize("key", list(_FORWARD_SPECS))
+@pytest.mark.parametrize("substeps", [16, 64])
+def test_shooting_map_is_the_end_of_the_forward_segment(key, substeps):
+    spec = _FORWARD_SPECS[key]()
+    rng = np.random.default_rng(substeps)
+    for i in (0, 1, 2):
+        a, b = spec.grid.knot(i), spec.grid.knot(i + 1)
+        x0 = rng.uniform(-2.0, 2.0, spec.n)
+        want = solve_forward(spec, a, x0, b, substeps=substeps).ys[-1]
+        assert np.array_equal(shooting_map(spec, i, x0, substeps=substeps), want)
+
+
+@pytest.mark.parametrize("key", ["paper-example-1", "diag-dichotomy", "diag-dichotomy-state",
+                                 "config-y-reading", "time-varying-n2"])
+def test_shooting_map_blows_up_where_the_forward_segment_does(key):
+    spec = _FORWARD_SPECS[key]()
+    a, b = spec.grid.knot(1), spec.grid.knot(2)
+    x0 = np.full(spec.n, 9e11)
+    caught = []
+    for call in (lambda: shooting_map(spec, 1, x0), lambda: solve_forward(spec, a, x0, b)):
+        with pytest.raises(BlowUpError) as exc:
+            call()
+        caught.append(exc.value.t)
+    assert caught[0] == caught[1] and a < caught[0] <= b
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n_steps", [1, 7, 64])
+@pytest.mark.parametrize("s,t", [(0.25, 1.5), (1.5, 0.25)])
+def test_callable_propagator_is_the_last_step_value_of_the_scan(n, n_steps, s, t):
+    A = _time_varying_A(n)
+    want = rk4_segment(Affine(A), s, np.eye(n), t, n_steps)[1][-1].T
+    assert np.array_equal(propagator(A, s, t, n_steps=n_steps), want)
+
+
+# ---------------------------------------------------------------------------
 # the stage weights of the final value against the scan
 # ---------------------------------------------------------------------------
 
@@ -320,9 +368,8 @@ def test_domain_error_of_a_single_state_on_the_weights_keeps_its_position():
     lambda rhs, y, plan: rk4_final(rhs, 0.0, y, 1.0, 32, plan=plan),
     lambda rhs, y, plan: rk4_final(rhs, 0.1, y, 1.0, 64, plan=plan),
     lambda rhs, y, plan: rk4_final(rhs, 0.0, y, 0.9, 64, plan=plan),
-    lambda rhs, y, plan: rk4_final(rhs, 0.0, y, 1.0, 64, guard=1e12, plan=plan),
     lambda rhs, y, plan: rk4_final(lambda t, y: y, 0.0, y, 1.0, 64, plan=plan),
-], ids=["steps", "start", "end", "guarded", "step-loop"])
+], ids=["steps", "start", "end", "step-loop"])
 def test_a_plan_that_does_not_fit_is_refused(call):
     A, W, g = _forced(2, 3)
     plan = WeightPlan(A, 0.0, 1.0, 64)

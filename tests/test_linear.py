@@ -213,6 +213,15 @@ def test_backward_uniqueness_monotone_in_lipschitz(l1, l2):
     assert not (b.holds and not a.holds)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["mu", "lip", "theta"])
+def test_backward_uniqueness_of_a_non_finite_constant_is_invalid_parameter(name, value):
+    args = dict(mu=1.0, lip=0.01, theta=1.0)
+    args[name] = value
+    with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
+        check_backward_uniqueness(**args)
+
+
 def test_smallness_zero_lipschitz_full_margin():
     rep = check_smallness(K=1.0, sigma=1.0, alpha=0.5, theta=1.0, L=0.0, eps=1.0)
     assert rep.all_hold
@@ -239,6 +248,15 @@ def test_smallness_invalid_alpha():
         check_smallness(K=1.0, sigma=1.0, alpha=1.5, theta=1.0, L=0.0, eps=1.0)
     with pytest.raises(InvalidParameterError):
         check_smallness(K=0.5, sigma=1.0, alpha=0.5, theta=1.0, L=0.0, eps=1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["K", "sigma", "alpha", "theta", "L", "eps"])
+def test_smallness_of_a_non_finite_constant_is_invalid_parameter(name, value):
+    args = dict(K=1.0, sigma=1.0, alpha=0.5, theta=1.0, L=0.05, eps=1.0)
+    args[name] = value
+    with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
+        check_smallness(**args)
 
 
 # ---------------------------------------------------------------------------
