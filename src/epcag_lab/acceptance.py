@@ -29,7 +29,7 @@ from .manifold import (
     picard_stable,
 )
 from .reduction import reduce as reduce_system
-from .solver import back_continue_interval, solve_forward
+from .solver import back_continue_interval, lattice_preimages, solve_forward
 from .steady import SteadyParams, bounded_solution, periodic_solution, periodicity_params
 from .system import get_problem
 
@@ -353,12 +353,21 @@ def c12_periodic_solution(seed=0):
 
 def c13_backward_uniqueness(seed=0):
     """Under the uniqueness inequality every preimage search is unique and
-    round-trips within 1e-6."""
+    round-trips within 1e-6.
+
+    Where the inequality certifies the interval the search takes one
+    Newton start, so "unique" comes from the certificate; the start
+    lattice therefore searches every target again, and must give the same
+    classification and preimages within 1e-12 (relative to 1 + |x|).
+    """
     spec = get_problem("periodic-coupled")
     bw = check_backward_uniqueness(spec.mu, spec.lip, spec.grid.gap_bound)
     rng = np.random.default_rng(seed + 13)
     all_unique = True
     worst_rt = 0.0
+    lattice_agrees = True
+    worst_lattice_gap = 0.0
+    single_starts = 0
     for j in range(100):
         i = int(rng.integers(0, 4))
         a, b = spec.grid.knot(i), spec.grid.knot(i + 1)
@@ -366,12 +375,21 @@ def c13_backward_uniqueness(seed=0):
         x_target = rng.uniform(-3.0, 3.0, 1)
         ps = back_continue_interval(spec, i, t_target, x_target, substeps=64)
         all_unique &= ps.classification == "unique"
+        single_starts += ps.diagnostics["starts"] == 1
+        lattice = lattice_preimages(spec, i, t_target, x_target, substeps=64)
+        # equal counts make equal classifications
+        lattice_agrees &= len(lattice.preimages) == len(ps.preimages)
+        for p, q in zip(ps.preimages, lattice.preimages):
+            gap = float(abs(p[0] - q[0])) / (1.0 + abs(q[0]))
+            worst_lattice_gap = max(worst_lattice_gap, gap)
         if ps.preimages:
             path = solve_forward(spec, a, ps.preimages[0], t_target, substeps=64)
             worst_rt = max(worst_rt, float(abs(path.ys[-1][0] - x_target[0])))
-    return bw.holds and all_unique and worst_rt <= 1e-6, {
+    lattice_ok = lattice_agrees and worst_lattice_gap <= 1e-12
+    return bw.holds and all_unique and worst_rt <= 1e-6 and lattice_ok, {
         "bw_holds": bw.holds, "all_unique": all_unique,
-        "worst_roundtrip": worst_rt,
+        "worst_roundtrip": worst_rt, "single_start_searches": single_starts,
+        "lattice_agrees": lattice_agrees, "worst_lattice_gap": worst_lattice_gap,
     }
 
 

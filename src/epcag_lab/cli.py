@@ -146,7 +146,7 @@ def cmd_backcontinue(args):
         "steps": [
             {"interval": s.interval, "classification": s.classification,
              "preimages": [list(p) for p in s.preimages],
-             "residuals": s.residuals}
+             "residuals": s.residuals, "diagnostics": s.diagnostics}
             for s in res.steps
         ],
     }

@@ -70,12 +70,15 @@ class InequalityCheck:
     margin: float
 
     def as_dict(self):
+        """The check as JSON values: a side or margin that is not finite
+        (an overflowing lhs) is None."""
+        finite = lambda x: x if math.isfinite(x) else None
         return {
             "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
+            "lhs": finite(self.lhs),
+            "rhs": finite(self.rhs),
             "holds": self.holds,
-            "margin": self.margin,
+            "margin": finite(self.margin),
         }
 
 
@@ -209,20 +212,32 @@ def _require_finite(**values):
             raise InvalidParameterError(f"{name} must be finite, got {value}")
 
 
+def _saturating(op, *args):
+    """op(*args), or inf where the result is too large for a float: a side
+    of an inequality that overflows is infinite, not an error."""
+    try:
+        return op(*args)
+    except OverflowError:
+        return math.inf
+
+
 def check_backward_uniqueness(mu, lip, theta):
     """Injectivity margin of the one-interval shooting map.
 
     Evaluates lip*M*theta*(1 + M*(1+lip*theta)*exp(M*lip*theta)) against
     m with M = exp(mu*theta), m = exp(-mu*theta); holds iff lhs < rhs.
-    The verdict is the InequalityCheck named "backward_uniqueness".
-    Raises InvalidParameterError when an argument is not finite.
+    A lhs too large for a float is inf, and the inequality fails.  The
+    verdict is the InequalityCheck named "backward_uniqueness".  Raises
+    InvalidParameterError when an argument is not finite.
     """
     _require_finite(mu=mu, lip=lip, theta=theta)
     if mu < 0 or lip < 0 or theta <= 0:
         raise InvalidParameterError("need mu >= 0, lip >= 0, theta > 0")
-    M = math.exp(mu * theta)
+    M = _saturating(math.exp, mu * theta)
     m = math.exp(-mu * theta)
-    lhs = lip * M * theta * (1.0 + M * (1.0 + lip * theta) * math.exp(M * lip * theta))
+    # lip = 0 is lhs = 0 also where M overflows (0 * inf is nan)
+    lhs = lip * M * theta * (
+        1.0 + M * (1.0 + lip * theta) * _saturating(math.exp, M * lip * theta)) if lip else 0.0
     return InequalityCheck(name="backward_uniqueness", lhs=lhs, rhs=m,
                            holds=lhs < m, margin=m - lhs)
 
@@ -238,8 +253,10 @@ def check_smallness(K, sigma, alpha, theta, L, eps):
 
     The first three govern the manifold iteration, sup_contraction the
     bounded-solution iteration, cone_trapping the off-manifold growth
-    estimates.  Overall pass iff every inequality holds.  Raises
-    InvalidParameterError when an argument is not finite.
+    estimates.  Overall pass iff every inequality holds.  An exponential
+    or a square too large for a float is inf, so a lhs that overflows is
+    not finite (inf, or nan where inf meets 0) and fails its inequality.
+    Raises InvalidParameterError when an argument is not finite.
     """
     _require_finite(K=K, sigma=sigma, alpha=alpha, theta=theta, L=L, eps=eps)
     if not (0 < alpha < sigma):
@@ -248,16 +265,17 @@ def check_smallness(K, sigma, alpha, theta, L, eps):
         raise InvalidParameterError("K must be >= 1")
     if theta <= 0 or L < 0 or eps <= 0:
         raise InvalidParameterError("need theta > 0, L >= 0, eps > 0")
-    es = math.exp(sigma * theta)
-    ea = math.exp(alpha * theta)
+    es = _saturating(math.exp, sigma * theta)
+    ea = _saturating(math.exp, alpha * theta)
+    sq = lambda x: _saturating(pow, x, 2)
     rows = [
         ("iterate_decay",
-         K * (K + eps) * (2.0 * sigma / (sigma ** 2 - alpha ** 2)) * (1.0 + es) * L,
+         K * (K + eps) * (2.0 * sigma / (sq(sigma) - sq(alpha))) * (1.0 + es) * L,
          eps),
         ("contraction", L, (sigma - alpha) / (2.0 * K * (1.0 + es))),
-        ("iterate_lipschitz", 4.0 * sigma * K * L * (1.0 + es), sigma ** 2 - alpha ** 2),
+        ("iterate_lipschitz", 4.0 * sigma * K * L * (1.0 + es), sq(sigma) - sq(alpha)),
         ("sup_contraction", 2.0 * K * L / sigma, 1.0),
-        ("cone_trapping", K * (K ** 2 + 1.0) * (1.0 + ea) * L, sigma),
+        ("cone_trapping", K * (sq(K) + 1.0) * (1.0 + ea) * L, sigma),
     ]
     checks = tuple(
         InequalityCheck(name=n, lhs=lhs, rhs=rhs, holds=lhs < rhs, margin=rhs - lhs)

@@ -6,9 +6,13 @@ ODE there, with the frozen value as a parameter (a config f evaluates
 its subexpressions in that value alone once per interval, not at every
 RK4 stage); knots are non-smooth points and the integration mesh never
 steps across one.  Backward continuation inverts the one-interval
-shooting map x -> y(theta_{i+1}; theta_i, x) by damped Newton from a
-multi-start lattice, then polishes the distinct roots by plain Newton;
-one batched kernel, ``_newton``, runs both.  When f does not read y the
+shooting map x -> y(theta_{i+1}; theta_i, x) by damped Newton, then
+polishes the distinct roots by plain Newton; one batched kernel,
+``_newton``, runs both.  Where the paper's backward-uniqueness inequality
+makes the map injective, Newton runs from one start, the linear preimage,
+and a bound on its root's Jacobian certifies the root as the only one;
+elsewhere, or when the certificate fails, it runs from a multi-start
+lattice to find every root.  When f does not read y the
 shooting map is the RK4 quadrature of the integral representation, and
 one search builds its stage weights (``integrate.WeightPlan``) once for
 all its calls.  Preimages may fail to exist or be non-unique, and both
@@ -27,7 +31,7 @@ from .errors import (
     OutOfWindowError,
 )
 from .expressions import raise_at_first_nonfinite
-from .integrate import Affine, WeightPlan, rk4_final, rk4_segment
+from .integrate import Affine, WeightPlan, propagator, rk4_final, rk4_segment, sample_A
 from .linear import check_backward_uniqueness
 from .system import state_vector
 
@@ -38,6 +42,7 @@ __all__ = [
     "solve_forward",
     "shooting_map",
     "back_continue_interval",
+    "lattice_preimages",
     "back_continue",
 ]
 
@@ -417,54 +422,120 @@ def _newton(phi, x_target, rows, tol_abs, max_iter, max_halvings, decrease):
     return rows
 
 
-def back_continue_interval(spec, i, t_target, x_target, substeps=64,
-                           root_tol=1e-9):
-    """All preimages at theta_i of (t_target, x_target) in its interval.
+class _Search:
+    """One preimage search of (t_target, x_target) from theta_i: the target,
+    its root tolerance, and the shooting map ``phi`` with its work counts.
 
-    Finds every x with a finite ||phi(x) - x_target|| below the root
-    tolerance, where phi integrates the frozen-argument equation from
-    (theta_i, x) to t_target.  Damped Newton (at most 50 iterations of 8
-    halvings each) runs from a lattice of 17 points per coordinate spanning
-    [-R, R], R = min(max(10, 10*||x_target||), 1e307), so the lattice
-    stays finite for any finite target.  The distinct roots, separated
-    by the clustering radius 1e-5*(1 + ||x||), are polished together by
-    the same kernel as plain Newton (tolerance 0, no halvings, at most 10
-    steps), starting from the search's residuals and Jacobians there.  An
-    empty result is reported as classification "none" with the search
-    budget flagged as exhausted (absence of roots is not proved).
-
-    When ``spec.f_ignores_y`` holds, every shooting-map call of the search
-    shares one ``WeightPlan`` of the span.  The result's ``diagnostics``
-    count the calls (``shooting_calls``) and their rows
-    (``shooting_rows``) and name the ``path``, "weights" or "loop".
+    Every call of ``phi`` goes through ``_phi_batch`` and is counted; when
+    ``spec.f_ignores_y`` holds, all of them share one ``WeightPlan`` of the
+    span.
     """
-    grid = spec.grid
-    a, b = grid.knot(i), grid.knot(i + 1)
-    if not (a < t_target <= b):
-        raise InvalidParameterError(
-            f"t_target={t_target} not in (theta_{i}, theta_{i + 1}] = ({a}, {b}]"
+
+    def __init__(self, spec, i, t_target, x_target, substeps, root_tol):
+        a, b = spec.grid.knot(i), spec.grid.knot(i + 1)
+        if not (a < t_target <= b):
+            raise InvalidParameterError(
+                f"t_target={t_target} not in (theta_{i}, theta_{i + 1}] = ({a}, {b}]"
+            )
+        self.spec, self.i, self.t_target, self.substeps = spec, i, t_target, substeps
+        self.x_target = state_vector(x_target, spec.n, "x_target")
+        with np.errstate(over="ignore"):
+            size = float(np.linalg.norm(self.x_target))
+        # where the squares overflowed, hypot's scaled sum does not
+        self.size = size if math.isfinite(size) else math.hypot(*self.x_target)
+        self.tol_abs = root_tol * (1.0 + self.size)
+        self.a, self.n_steps = _shooting_steps(spec, i, t_target, substeps)
+        self.plan = None
+        if spec.f_ignores_y:
+            self.plan = WeightPlan(spec.coefficient, self.a, t_target, self.n_steps)
+        self.work = {"shooting_calls": 0, "shooting_rows": 0}
+
+    def phi(self, X):
+        self.work["shooting_calls"] += 1
+        self.work["shooting_rows"] += len(X)
+        return _phi_batch(self.spec, self.i, X, self.t_target, self.substeps, self.plan)
+
+    def result(self, preimages, residuals, **diagnostics):
+        """The ``PreimageSet`` of the roots found, with the work counts and
+        ``diagnostics``."""
+        return PreimageSet(
+            interval=self.i, t_target=float(self.t_target), x_target=self.x_target,
+            preimages=preimages, residuals=residuals,
+            classification={0: "none", 1: "unique"}.get(len(preimages), "multiple"),
+            search_exhausted=(len(preimages) == 0),
+            diagnostics={**self.work, "path": "loop" if self.plan is None else "weights",
+                         **diagnostics},
         )
-    x_target = state_vector(x_target, spec.n, "x_target")
-    with np.errstate(over="ignore"):
-        size = float(np.linalg.norm(x_target))
-    size = size if math.isfinite(size) else math.hypot(*x_target)  # squares overflowed
-    R = min(max(10.0, 10.0 * size), 1e307)  # 2R stays finite for linspace
-    axes = [np.linspace(-R, R, 17)] * spec.n
+
+
+def _uniqueness_gate(spec, i, t_target, substeps):
+    """The backward-uniqueness ``InequalityCheck`` of ``spec`` when it
+    certifies the shooting map of interval i to t_target, else None.
+
+    The inequality must hold for the declared mu and lip, and mu must bound
+    ||A(s)||_2: once for a constant A, at the stage times of the shooting
+    map's RK4 steps for a callable.  A spec with lip = 0 (also a config
+    that declares no constants) is never certified: its lhs is 0, and
+    ||J - X||_2 is 0 up to rounding wherever f's derivatives are, so the
+    root's certificate could not tell an f constant in the state from a
+    mis-declared one that reads it.
+    """
+    if spec.lip == 0:
+        return None
+    bw = check_backward_uniqueness(spec.mu, spec.lip, spec.grid.gap_bound)
+    if not bw.holds:
+        return None
+    A = spec.coefficient
+    if callable(A):
+        a, n_steps = _shooting_steps(spec, i, t_target, substeps)
+        A = sample_A(A, a + (0.5 * (t_target - a) / n_steps) * np.arange(2 * n_steps + 1))
+    if not np.isfinite(A).all() or np.linalg.norm(A, 2, axis=(-2, -1)).max() > spec.mu:
+        return None
+    return bw
+
+
+def _single_start(search, bw):
+    """The preimage certified by ``bw``, from one Newton start, or None.
+
+    The start is the linear preimage X^{-1} x_target, X = X(t_target,
+    theta_i) the RK4 propagator of the shooting map's steps.  The search
+    and the polish are the lattice's.  The root is kept only when it meets
+    the root tolerance and its polished Jacobian J is fresh and passes
+    ||J - X||_2 <= lhs, the inequality's bound on the nonlinear part.  With
+    ||A|| <= mu, sigma_min(X) >= m, and so J is as far from singular as
+    the margin m - lhs.  Returns (preimage, residual, ||J - X||_2).
+    """
+    X = propagator(search.spec.coefficient, search.a, search.t_target, search.n_steps)
+    x0 = np.linalg.solve(X, search.x_target)
+    if not np.isfinite(x0).all():
+        return None
+    phi, x_target, tol_abs = search.phi, search.x_target, search.tol_abs
+    rows = _newton(phi, x_target, _NewtonRows.at(phi, x_target, x0[None]), tol_abs, 50, 8, 1e-4)
+    if not rows.rn[0] <= tol_abs:
+        return None
+    rows = _newton(phi, x_target, rows, 0.0, 10, 0, 0.0)
+    gap = float(np.linalg.norm(rows.J[0] - X, 2))
+    if not (rows.fresh[0] and gap <= bw.lhs):
+        return None
+    return rows.X[0], float(rows.rn[0]), gap
+
+
+def _lattice(search):
+    """Every preimage the 17^n start lattice finds, with its residual.
+
+    Damped Newton (at most 50 iterations of 8 halvings each) runs from a
+    lattice of 17 points per coordinate spanning [-R, R],
+    R = min(max(10, 10*||x_target||), 1e307), so the lattice stays finite
+    for any finite target.  The distinct roots, separated by the clustering
+    radius 1e-5*(1 + ||x||), are polished together by the same kernel as
+    plain Newton (tolerance 0, no halvings, at most 10 steps), starting
+    from the search's residuals and Jacobians there.
+    """
+    phi, x_target, tol_abs = search.phi, search.x_target, search.tol_abs
+    R = min(max(10.0, 10.0 * search.size), 1e307)  # 2R stays finite for linspace
+    axes = [np.linspace(-R, R, 17)] * search.spec.n
     mesh = np.meshgrid(*axes, indexing="ij")
     starts = np.stack([m.ravel() for m in mesh], axis=1)
-    tol_abs = root_tol * (1.0 + size)
-
-    # when f does not read y every call shares one weight plan of the span
-    plan = None
-    if spec.f_ignores_y:
-        plan = WeightPlan(spec.coefficient, a, t_target,
-                          _shooting_steps(spec, i, t_target, substeps)[1])
-    work = {"shooting_calls": 0, "shooting_rows": 0}
-
-    def phi(X):
-        work["shooting_calls"] += 1
-        work["shooting_rows"] += len(X)
-        return _phi_batch(spec, i, X, t_target, substeps, plan)
 
     rows = _newton(phi, x_target, _NewtonRows.at(phi, x_target, starts), tol_abs, 50, 8, 1e-4)
     roots = np.flatnonzero(np.isfinite(rows.rn) & (rows.rn <= tol_abs))
@@ -486,26 +557,72 @@ def back_continue_interval(spec, i, t_target, x_target, substeps=64,
         # Jacobians of roots last moved by a halving are evaluated again
         rows = _newton(phi, x_target, rows.take(kept), 0.0, 10, 0, 0.0)
         kept = dedupe(rows.X)
-    preimages = [rows.X[q] for q in kept]
-    residuals = [float(rows.rn[q]) for q in kept]
-    classification = {0: "none", 1: "unique"}.get(len(preimages), "multiple")
-    return PreimageSet(
-        interval=i, t_target=float(t_target), x_target=x_target,
-        preimages=preimages, residuals=residuals,
-        classification=classification,
-        search_exhausted=(len(preimages) == 0),
-        diagnostics={**work, "path": "loop" if plan is None else "weights"},
-    )
+    return [rows.X[q] for q in kept], [float(rows.rn[q]) for q in kept]
+
+
+def lattice_preimages(spec, i, t_target, x_target, substeps=64, root_tol=1e-9):
+    """``back_continue_interval`` by the 17^n start lattice alone.
+
+    The reference search: it runs the lattice whether or not the
+    backward-uniqueness inequality certifies the interval, so it finds the
+    roots of a certified interval independently of the single start and
+    its certificate.  Same arguments, tolerances and ``PreimageSet`` as
+    ``back_continue_interval``, with ``starts`` = 17^n.
+    """
+    search = _Search(spec, i, t_target, x_target, substeps, root_tol)
+    return search.result(*_lattice(search), starts=17 ** spec.n)
+
+
+def back_continue_interval(spec, i, t_target, x_target, substeps=64,
+                           root_tol=1e-9):
+    """All preimages at theta_i of (t_target, x_target) in its interval.
+
+    Finds every x with a finite ||phi(x) - x_target|| below the root
+    tolerance root_tol*(1 + ||x_target||), where phi integrates the
+    frozen-argument equation from (theta_i, x) to t_target.
+
+    Where the backward-uniqueness inequality holds for a declared lip > 0
+    and the declared mu bounds ||A|| over the span, phi is injective and
+    the preimage, if any, is unique (see ``_uniqueness_gate``).  The
+    search then runs damped Newton from one start, the linear preimage,
+    and polishes its root; the root is accepted as "unique" when its
+    polished Jacobian J passes ||J - X||_2 <= lhs against the linear
+    propagator X (see ``_single_start``).  Otherwise, and wherever the
+    inequality does not certify the interval, Newton runs from the 17^n
+    start lattice (see ``lattice_preimages``), unchanged.  An empty result
+    is reported as
+    classification "none" with the search budget flagged as exhausted
+    (absence of roots is not proved).
+
+    When ``spec.f_ignores_y`` holds, every shooting-map call of the search
+    shares one ``WeightPlan`` of the span.  The result's ``diagnostics``
+    count the calls (``shooting_calls``), their rows (``shooting_rows``)
+    and the Newton ``starts`` (1 for the single start, 17^n for the
+    lattice, 1 + 17^n when the single start fell back to it), and name the
+    ``path``, "weights" or "loop".  A root accepted from the single start
+    adds its certificate, ``jacobian_gap`` = ||J - X||_2 and the
+    inequality's ``lhs``.
+    """
+    search = _Search(spec, i, t_target, x_target, substeps, root_tol)
+    bw = _uniqueness_gate(spec, i, t_target, substeps)
+    if bw is None:
+        return search.result(*_lattice(search), starts=17 ** spec.n)
+    found = _single_start(search, bw)
+    if found is None:
+        return search.result(*_lattice(search), starts=1 + 17 ** spec.n)
+    x, rq, gap = found
+    return search.result([x], [rq], starts=1, jacobian_gap=gap, lhs=bw.lhs)
 
 
 def back_continue(spec, t0, x0, t_target, substeps=64, root_tol=1e-9):
     """Chain interval preimages from (t0, x0) down past t_target.
 
-    When the backward-uniqueness inequality holds for the system's
-    declared constants, every step is asserted unique; otherwise the
-    smallest-norm preimage is taken and the choice is flagged.  Returns
-    the reconstructed path anchored at the last knot reached, or a
-    failure report naming the interval where continuation died.
+    Where a step has several preimages the smallest-norm one is taken
+    and the choice is flagged; when the backward-uniqueness inequality
+    certifies that step's interval (see ``back_continue_interval``),
+    several preimages contradict it and raise instead.  Returns the
+    reconstructed path anchored at the last knot reached, or a failure
+    report naming the interval where continuation died.
     """
     grid = spec.grid
     if not t_target < t0:
@@ -515,7 +632,6 @@ def back_continue(spec, t0, x0, t_target, substeps=64, root_tol=1e-9):
         raise OutOfWindowError("continuation range leaves the working window")
     x0 = state_vector(x0, spec.n, "x0")
 
-    bw = check_backward_uniqueness(spec.mu, spec.lip, grid.gap_bound)
     flags = []
     steps = []
     cur_t, cur_x = float(t0), x0
@@ -534,10 +650,12 @@ def back_continue(spec, t0, x0, t_target, substeps=64, root_tol=1e-9):
                 ok=False, path=None, steps=steps, flags=flags, failed_interval=i,
             )
         if ps.classification == "multiple":
-            if bw.holds:
+            # a search runs 17^n starts exactly when its interval is not
+            # certified, and 1 + 17^n when the certified start fell back
+            if ps.diagnostics["starts"] != 17 ** spec.n:
                 raise EpcagError(
                     f"multiple preimages at interval {i} although the "
-                    "backward-uniqueness inequality holds; root clustering "
+                    "backward-uniqueness inequality certifies it; root clustering "
                     "is suspect"
                 )
             flags.append(f"non-unique branch chosen at interval {i}")

@@ -173,6 +173,22 @@ def test_backcontinue_success(tmp_path):
     assert all(s["classification"] == "unique" for s in payload["results"]["steps"])
 
 
+def test_backcontinue_report_carries_each_steps_search_counts(tmp_path):
+    argv = ["backcontinue", "--problem", "periodic-coupled", "--t0", "1.5",
+            "--x0", "0.4", "--t-target", "0", "--stamp", "T"]
+    for d in ("a", "b"):
+        assert run(argv + ["-o", str(tmp_path / d)]) == 0
+    name = "backcontinue-periodic-coupled-T.json"
+    assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    steps = _validate(tmp_path / "a" / name)["results"]["steps"]
+    assert len(steps) == 3
+    for step in steps:
+        diag = step["diagnostics"]
+        assert diag["starts"] == 1 and diag["path"] == "weights"
+        assert diag["shooting_calls"] >= 1 and diag["shooting_rows"] >= diag["shooting_calls"]
+        assert 0.0 <= diag["jacobian_gap"] <= diag["lhs"]
+
+
 def test_manifold_sweep_files(tmp_path):
     code = run(["manifold", "--problem", "diag-dichotomy", "--side", "stable",
                 "--t0", "0", "--grid-of-c=-1:1:11", "-o", str(tmp_path),
@@ -234,6 +250,19 @@ def test_check_of_a_non_finite_flag_is_invalid_parameter(tmp_path, capsys, argv,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mu", "1000", "--l", "0.1", "--theta", "1"],
+    ["--mu", "1", "--l", "0.1", "--theta", "1", "--K", "1e200", "--sigma", "1"],
+], ids=["mu-1000", "K-1e200"])
+def test_check_whose_lhs_overflows_fails_with_a_report(tmp_path, capsys, argv):
+    code = run(["check", *argv, "-o", str(tmp_path), "--stamp", "T"])
+    assert code == 4
+    assert "Traceback" not in capsys.readouterr().err
+    results = _validate(tmp_path / "check-direct-T.json")["results"]
+    checks = [results["backward_uniqueness"], *results.get("smallness", {}).get("checks", [])]
+    assert any(c["lhs"] is None and c["margin"] is None and not c["holds"] for c in checks)
 
 
 def test_check_with_problem(tmp_path, capsys):

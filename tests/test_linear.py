@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -220,6 +221,33 @@ def test_backward_uniqueness_of_a_non_finite_constant_is_invalid_parameter(name,
     args[name] = value
     with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
         check_backward_uniqueness(**args)
+
+
+@pytest.mark.parametrize("lip", [0.0, 0.1])
+def test_backward_uniqueness_whose_lhs_overflows_fails(lip):
+    # exp(mu*theta) = exp(1000) is too large for a float
+    chk = check_backward_uniqueness(1000.0, lip, 1.0)
+    assert not chk.holds and chk.rhs == 0.0
+    assert chk.lhs == (math.inf if lip else 0.0)
+    assert json.loads(json.dumps(chk.as_dict(), allow_nan=False)) == {
+        "name": "backward_uniqueness", "lhs": None if lip else 0.0, "rhs": 0.0,
+        "holds": False, "margin": None if lip else 0.0}
+
+
+@pytest.mark.parametrize("args, overflowing", [
+    (dict(K=1e200, sigma=1.0, alpha=0.5, theta=1.0, L=0.2, eps=1e200),
+     {"iterate_decay", "cone_trapping"}),
+    (dict(K=1.0, sigma=1e200, alpha=0.5, theta=1.0, L=0.2, eps=1.0),
+     {"iterate_decay", "iterate_lipschitz"}),
+], ids=["K-1e200", "sigma-1e200"])
+def test_smallness_whose_lhs_overflows_fails(args, overflowing):
+    rep = check_smallness(**args)
+    assert not rep.all_hold
+    for c in rep.checks:
+        if c.name in overflowing:
+            # inf, or nan where an infinite factor meets a zero one
+            assert not math.isfinite(c.lhs) and not c.holds
+    json.dumps(rep.as_dict(), allow_nan=False)
 
 
 def test_smallness_zero_lipschitz_full_margin():

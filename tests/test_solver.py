@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from epcag_lab import expressions, integrate, solver
 from epcag_lab.errors import BlowUpError, EpcagError, InvalidParameterError
 from epcag_lab.grid import make_uniform_grid
+from epcag_lab.linear import check_backward_uniqueness
 from epcag_lab.solver import (
     back_continue,
     back_continue_interval,
@@ -580,13 +581,152 @@ _REFERENCE_CASES = {
 @pytest.mark.parametrize("key", list(_REFERENCE_CASES))
 def test_newton_kernel_matches_reference_bit_for_bit(key):
     for spec, i, t_target, x_target, substeps in _REFERENCE_CASES[key]():
-        ps = back_continue_interval(spec, i, t_target, x_target, substeps=substeps)
+        ps = solver.lattice_preimages(spec, i, t_target, x_target, substeps=substeps)
         cls, preimages, residuals = ref_preimages(spec, i, t_target, x_target, substeps)
         assert ps.classification == cls
         assert len(ps.preimages) == len(preimages)
         for got, want in zip(ps.preimages, preimages):
             assert np.array_equal(got, want)
         assert ps.residuals == residuals
+
+
+# the starts of each reference case's search: the backward-uniqueness
+# inequality certifies the config systems' interval, and not example1's or
+# the nonsymmetric system's
+_REFERENCE_STARTS = {"c03-targets": 17, "double-root": 17, "nonsymmetric": 17 ** 2,
+                     "config-n2": 1, "domain-error": 1}
+
+
+@pytest.mark.parametrize("key", list(_REFERENCE_CASES))
+def test_search_matches_the_lattice(key):
+    for spec, i, t_target, x_target, substeps in _REFERENCE_CASES[key]():
+        ps = back_continue_interval(spec, i, t_target, x_target, substeps=substeps)
+        lattice = solver.lattice_preimages(spec, i, t_target, x_target, substeps=substeps)
+        assert ps.diagnostics["starts"] == _REFERENCE_STARTS[key]
+        assert ps.classification == lattice.classification
+        assert len(ps.preimages) == len(lattice.preimages)
+        if _REFERENCE_STARTS[key] == 1:
+            for got, want in zip(ps.preimages, lattice.preimages):
+                assert np.linalg.norm(got - want) <= 1e-12 * (1.0 + np.linalg.norm(want))
+        else:  # the lattice itself, bit for bit
+            assert all(np.array_equal(got, want)
+                       for got, want in zip(ps.preimages, lattice.preimages))
+            assert ps.residuals == lattice.residuals
+            assert ps.diagnostics == lattice.diagnostics
+
+
+def test_a_mis_declared_lipschitz_constant_falls_back_to_the_lattice():
+    # example1 with lip = 0.001: the inequality "holds", but the target has
+    # two preimages; the Jacobian certificate refuses the single start's root
+    spec = dataclasses.replace(get_problem("paper-example-1"), lip=0.001)
+    bw = check_backward_uniqueness(spec.mu, spec.lip, spec.grid.gap_bound)
+    assert bw.holds and solver._uniqueness_gate(spec, 0, 1.0, 64) == bw
+    ps = back_continue_interval(spec, 0, 1.0, [1.0])
+    assert ps.diagnostics["starts"] == 1 + 17 and "jacobian_gap" not in ps.diagnostics
+    assert ps.classification == "multiple"
+    assert sorted(p[0] for p in ps.preimages) == pytest.approx(ex1_roots(1.0), abs=1e-6)
+    lattice = solver.lattice_preimages(spec, 0, 1.0, [1.0])
+    assert all(np.array_equal(p, q) for p, q in zip(ps.preimages, lattice.preimages))
+    # a certified interval whose lattice finds several roots still raises
+    with pytest.raises(EpcagError, match="root clustering is suspect"):
+        back_continue(spec, 1.0, [1.0], 0.0)
+
+
+UNDECLARED_CONSTANTS_CONFIG = """
+[system]
+n = 1
+A11 = 2
+f1 = -w1^2
+[grid]
+step = 1.0
+window = 0 4
+"""
+
+
+def test_undeclared_constants_flag_a_non_unique_branch():
+    # mu = lip = 0 make the inequality hold, but mu = 0 does not bound ||A||
+    spec = parse_system(UNDECLARED_CONSTANTS_CONFIG)
+    assert (spec.mu, spec.lip) == (0.0, 0.0)
+    assert solver._uniqueness_gate(spec, 0, 1.0, 64) is None
+    res = back_continue(spec, 1.0, [1.0], 0.0)
+    assert res.ok and res.flags == ["non-unique branch chosen at interval 0"]
+    assert res.steps[0].classification == "multiple"
+    assert res.steps[0].diagnostics["starts"] == 17
+
+
+ZERO_A_CONFIG = """
+[system]
+n = 1
+f1 = -w1^2
+[grid]
+step = 1.0
+window = 0 4
+"""
+
+
+def test_lip_zero_never_certifies_an_interval():
+    # A = 0 and mu = lip = 0 pass the inequality and the mu bound, but f
+    # reads w: phi(x) = x - x^2 takes 0 at x = 0 and x = 1, and at the
+    # linear preimage 0 the Jacobian equals X to rounding
+    spec = parse_system(ZERO_A_CONFIG)
+    assert (spec.mu, spec.lip) == (0.0, 0.0)
+    assert check_backward_uniqueness(spec.mu, spec.lip, spec.grid.gap_bound).holds
+    assert solver._uniqueness_gate(spec, 0, 1.0, 64) is None
+    ps = back_continue_interval(spec, 0, 1.0, [0.0])
+    assert ps.classification == "multiple" and ps.diagnostics["starts"] == 17
+    assert sorted(p[0] for p in ps.preimages) == pytest.approx([0.0, 1.0], abs=1e-9)
+    res = back_continue(spec, 1.0, [0.0], 0.0)
+    assert res.ok and res.flags == ["non-unique branch chosen at interval 0"]
+    assert res.steps[0].classification == "multiple"
+
+
+def test_a_search_of_a_spec_with_a_huge_mu_takes_the_lattice():
+    # exp(mu*theta) overflows: the inequality fails instead of raising
+    spec = dataclasses.replace(get_problem("forced-scalar", feedback=0.1), mu=1000.0)
+    ps = back_continue_interval(spec, 0, 1.0, [0.3])
+    assert ps.classification == "unique" and ps.diagnostics["starts"] == 17
+    res = back_continue(spec, 1.0, [0.3], 0.0)
+    assert res.ok and not res.flags
+    assert res.steps[0].diagnostics == ps.diagnostics
+
+
+def test_the_mu_bound_of_a_time_varying_A_is_checked_on_each_interval():
+    # A11 = -0.5 + 0.1 sin(t): ||A(t)||_2 stays below mu = 0.75 on [0, 1]
+    # and exceeds it on [3, 4], where sin(t) < 0
+    spec = parse_system(TV_N2_CONFIG)
+    starts = {}
+    for i in (0, 3):
+        target = solve_forward(spec, float(i), [0.4, -0.3], i + 1.0).ys[-1]
+        ps = back_continue_interval(spec, i, i + 1.0, target)
+        assert ps.classification == "unique"
+        assert np.linalg.norm(ps.preimages[0] - [0.4, -0.3]) <= 1e-6
+        starts[i] = ps.diagnostics["starts"]
+    assert starts == {0: 1, 3: 17 ** 2}
+
+
+_AGREEMENT_SPECS = {
+    "config-n2": parse_system(N2_CONFIG),
+    "periodic-coupled": get_problem("periodic-coupled"),
+    # lip = 0.01 certifies the interval; lip = 0 never does
+    "forced-scalar": get_problem("forced-scalar", feedback=0.01),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=st.sampled_from(list(_AGREEMENT_SPECS)), frac=st.floats(0.1, 1.0),
+       x=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
+def test_single_start_agrees_with_the_lattice(key, frac, x):
+    spec = _AGREEMENT_SPECS[key]
+    i = spec.grid.interval_index(0.0)
+    a, b = spec.grid.knot(i), spec.grid.knot(i + 1)
+    t_target, x_target = a + frac * (b - a), x[:spec.n]
+    ps = back_continue_interval(spec, i, t_target, x_target)
+    lattice = solver.lattice_preimages(spec, i, t_target, x_target)
+    assert ps.diagnostics["starts"] == 1
+    assert ps.diagnostics["jacobian_gap"] <= ps.diagnostics["lhs"] + 1e-9
+    assert ps.classification == lattice.classification == "unique"
+    p, q = ps.preimages[0], lattice.preimages[0]
+    assert np.linalg.norm(p - q) <= 1e-12 * (1.0 + np.linalg.norm(q))
 
 
 # (spec, target, starts from which every full step is accepted, starts
@@ -877,6 +1017,9 @@ def test_the_step_loop_builds_no_weight_plan(monkeypatch):
 def test_search_work_counts_are_deterministic(monkeypatch, make, target):
     _, calls = _counting_phi(monkeypatch, make(), 0, 1.0)
     first = back_continue_interval(make(), 0, 1.0, target).diagnostics
+    certificate = {k: first[k] for k in ("jacobian_gap", "lhs") if k in first}
     assert first == {"shooting_calls": len(calls), "shooting_rows": sum(calls),
-                     "path": first["path"]}
+                     "path": first["path"], "starts": first["starts"], **certificate}
+    assert first["starts"] in (1, 17 ** len(target), 1 + 17 ** len(target))
+    assert bool(certificate) == (first["starts"] == 1)
     assert back_continue_interval(make(), 0, 1.0, target).diagnostics == first
