@@ -31,20 +31,19 @@ class ThetaGrid:
     """Strictly increasing knot sequence over a working window.
 
     ``periodic`` is ``(p, omega_bar)`` when the grid repeats with
-    theta_{i+p} = theta_i + omega_bar, else None.  ``gap_bound`` is the
-    largest gap between consecutive knots (the constant usually called
-    theta).  Immutable; safe for concurrent reads.
+    theta_{i+p} = theta_i + omega_bar, else None; ``pattern`` is then the
+    p knots theta_0..theta_{p-1} it repeats, and knots beyond the stored
+    ones follow from it.  A grid without a pattern is explicit.  A
+    uniform grid is the one-knot pattern (offset,) with period step.
+    ``gap_bound`` is the largest gap between consecutive knots (the
+    constant usually called theta).  Immutable; safe for concurrent reads.
     """
 
-    kind: str
     window: tuple[float, float]
     gap_bound: float
     periodic: tuple[int, float] | None
     knots: np.ndarray = field(repr=False)
     base_index: int = 0
-    # generator parameters, kind-dependent
-    step: float | None = None
-    offset: float | None = None
     pattern: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -55,7 +54,8 @@ class ThetaGrid:
         d = np.diff(self.knots)
         if len(self.knots) < 2 or not np.all(d > 0):
             raise InvalidParameterError("grid knots must be strictly increasing")
-        if np.max(d) > self.gap_bound * (1 + 1e-12):
+        # a knot far from 0 is rounded to a few ulps of its size, not of the gap
+        if np.max(d) > self.gap_bound * (1 + 1e-12) + 4 * np.spacing(np.abs(self.knots).max()):
             raise InvalidParameterError("grid gap exceeds declared gap bound")
 
     # -- lookups -------------------------------------------------------
@@ -94,9 +94,7 @@ class ThetaGrid:
         j = i - self.base_index
         if 0 <= j < len(self.knots):
             return float(self.knots[j])
-        if self.kind == "uniform":
-            return self.offset + i * self.step
-        if self.kind == "periodic-pattern":
+        if self.pattern is not None:
             p, obar = self.periodic
             return self.pattern[i % p] + (i // p) * obar
         raise OutOfWindowError(f"knot index {i} outside represented range")
@@ -118,9 +116,7 @@ class ThetaGrid:
         Explicit grids cannot be extended beyond their knots.
         """
         lo, hi = float(window[0]), float(window[1])
-        if self.kind == "uniform":
-            return make_uniform_grid(self.step, self.offset, (lo, hi))
-        if self.kind == "periodic-pattern":
+        if self.pattern is not None:
             return make_periodic_grid(self.pattern, self.periodic[1], (lo, hi))
         if lo >= self.window[0] and hi <= self.window[1]:
             return self
@@ -150,7 +146,8 @@ def _period_range(lo, hi, per_period):
 
 
 def make_uniform_grid(step, offset=0.0, window=(0.0, 10.0)):
-    """Grid theta_k = offset + k*step covering the window.
+    """Grid theta_k = offset + k*step covering the window: the periodic
+    grid of the one-knot pattern (offset,) with period step.
 
     The gap bound is the step and the grid is 1-periodic with period step.
     """
@@ -163,18 +160,7 @@ def make_uniform_grid(step, offset=0.0, window=(0.0, 10.0)):
         raise InvalidParameterError(f"step must be positive, got {step}")
     if not lo < hi:
         raise InvalidParameterError("window must be a nonempty interval")
-    k_lo, k_hi = _period_range((lo - offset) / step, (hi - offset) / step, 1)
-    knots = offset + step * np.arange(k_lo, k_hi + 1, dtype=float)
-    return ThetaGrid(
-        kind="uniform",
-        window=(lo, hi),
-        gap_bound=step,
-        periodic=(1, step),
-        knots=knots,
-        base_index=k_lo,
-        step=step,
-        offset=offset,
-    )
+    return make_periodic_grid((offset,), step, (lo, hi))
 
 
 def make_explicit_grid(knots):
@@ -187,7 +173,6 @@ def make_explicit_grid(knots):
     if not np.all(gaps > 0):
         raise InvalidParameterError("knots must be strictly increasing")
     return ThetaGrid(
-        kind="explicit",
         window=(float(knots[0]), float(knots[-1])),
         gap_bound=float(np.max(gaps)),
         periodic=None,
@@ -217,11 +202,11 @@ def make_periodic_grid(pattern, period, window=(0.0, 10.0)):
     k_lo, k_hi = _period_range((lo - pattern[0]) / period, (hi - pattern[0]) / period, p)
     shifts = period * np.arange(k_lo, k_hi + 1, dtype=float)
     knots = (np.asarray(pattern) + shifts[:, None]).ravel()
-    gaps = np.diff(knots)
+    # the gaps of one period, the last one wrapping to the next period
+    gaps = [b - a for a, b in zip(pattern, pattern[1:])] + [period - (pattern[-1] - pattern[0])]
     return ThetaGrid(
-        kind="periodic-pattern",
         window=(lo, hi),
-        gap_bound=float(np.max(gaps)),
+        gap_bound=max(gaps),
         periodic=(p, period),
         knots=knots,
         base_index=k_lo * p,

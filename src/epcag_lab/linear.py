@@ -111,9 +111,10 @@ def fundamental_matrix(spec, t, s):
 
 
 def flow_bounds(spec):
-    """One-gap bounds from the declared mu and the grid's gap bound."""
+    """One-gap bounds from the declared mu and the grid's gap bound; an M
+    too large for a float is inf."""
     mt = spec.mu * spec.grid.gap_bound
-    return FlowBounds(M=math.exp(mt), m=math.exp(-mt))
+    return FlowBounds(M=_saturating(math.exp, mt), m=math.exp(-mt))
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,9 @@ def verify_flow_bounds(spec, pairs=None, n_pairs=200, seed=0):
     """Check exp(-mu|t-s|) <= ||X(t,s)|| <= exp(mu|t-s|) on sampled pairs.
 
     Without ``pairs``, ``n_pairs`` pairs are drawn with |t - s| <= 2.
-    Returns the worst violation; passes iff it stays within 1e-8.
+    Returns the worst violation; passes iff it stays within 1e-8.  An
+    upper bound too large for a float is inf; a propagator that is not
+    finite is an infinite violation.
     When mu was sample-estimated the report is labeled accordingly.
     Raises InvalidParameterError when there is no pair to check.
     """
@@ -156,13 +159,19 @@ def verify_flow_bounds(spec, pairs=None, n_pairs=200, seed=0):
         pairs = np.stack([t, s], axis=1)
     worst = -np.inf
     worst_pair = None
-    for t, s in pairs:
-        norm = np.linalg.norm(fundamental_matrix(spec, t, s), 2)
-        up = math.exp(spec.mu * abs(t - s))
-        dn = math.exp(-spec.mu * abs(t - s))
-        violation = max(norm - up, dn - norm)
-        if violation > worst:
-            worst, worst_pair = violation, (float(t), float(s))
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite violation below
+        for t, s in pairs:
+            X = fundamental_matrix(spec, t, s)
+            # the SVD of a matrix that is not finite fails or prints LAPACK errors
+            if np.isfinite(X).all():
+                norm = np.linalg.norm(X, 2)
+                up = _saturating(math.exp, spec.mu * abs(t - s))
+                dn = math.exp(-spec.mu * abs(t - s))
+                violation = max(norm - up, dn - norm)
+            else:
+                violation = math.inf
+            if violation > worst:
+                worst, worst_pair = violation, (float(t), float(s))
     return FlowBoundReport(
         passed=bool(worst <= tol),
         max_violation=float(worst),
@@ -255,7 +264,8 @@ def check_smallness(K, sigma, alpha, theta, L, eps):
     bounded-solution iteration, cone_trapping the off-manifold growth
     estimates.  Overall pass iff every inequality holds.  An exponential
     or a square too large for a float is inf, so a lhs that overflows is
-    not finite (inf, or nan where inf meets 0) and fails its inequality.
+    inf and fails its inequality.  With L = 0 every lhs is 0 and every
+    inequality holds, also where its positive rhs underflows to 0.
     Raises InvalidParameterError when an argument is not finite.
     """
     _require_finite(K=K, sigma=sigma, alpha=alpha, theta=theta, L=L, eps=eps)
@@ -268,17 +278,27 @@ def check_smallness(K, sigma, alpha, theta, L, eps):
     es = _saturating(math.exp, sigma * theta)
     ea = _saturating(math.exp, alpha * theta)
     sq = lambda x: _saturating(pow, x, 2)
+    # 2*sigma/(sigma^2 - alpha^2), factored where sigma^2 overflows
+    gain = (2.0 * sigma / (sq(sigma) - sq(alpha)) if sq(sigma) < math.inf
+            else 2.0 / (sigma - alpha) * (sigma / (sigma + alpha)))
     rows = [
-        ("iterate_decay",
-         K * (K + eps) * (2.0 * sigma / (sq(sigma) - sq(alpha))) * (1.0 + es) * L,
-         eps),
+        ("iterate_decay", K * (K + eps) * gain * (1.0 + es) * L, eps),
         ("contraction", L, (sigma - alpha) / (2.0 * K * (1.0 + es))),
         ("iterate_lipschitz", 4.0 * sigma * K * L * (1.0 + es), sq(sigma) - sq(alpha)),
         ("sup_contraction", 2.0 * K * L / sigma, 1.0),
         ("cone_trapping", K * (sq(K) + 1.0) * (1.0 + ea) * L, sigma),
     ]
-    checks = tuple(
-        InequalityCheck(name=n, lhs=lhs, rhs=rhs, holds=lhs < rhs, margin=rhs - lhs)
-        for n, lhs, rhs in rows
-    )
+    checks = []
+    for name, lhs, rhs in rows:
+        if not L:
+            # every lhs is 0 (0 * inf is nan) and every rhs is positive, also
+            # one that underflows to 0
+            lhs, holds = 0.0, True
+        else:
+            # nan is an infinite factor meeting one that underflowed to 0
+            lhs = math.inf if math.isnan(lhs) else lhs
+            holds = lhs < rhs
+        checks.append(InequalityCheck(name=name, lhs=lhs, rhs=rhs, holds=holds,
+                                      margin=rhs - lhs))
+    checks = tuple(checks)
     return SmallnessReport(checks=checks, all_hold=all(c.holds for c in checks))

@@ -8,9 +8,10 @@ RK4 stage); knots are non-smooth points and the integration mesh never
 steps across one.  Backward continuation inverts the one-interval
 shooting map x -> y(theta_{i+1}; theta_i, x) by damped Newton, then
 polishes the distinct roots by plain Newton; one batched kernel,
-``_newton``, runs both.  Where the paper's backward-uniqueness inequality
-makes the map injective, Newton runs from one start, the linear preimage,
-and a bound on its root's Jacobian certifies the root as the only one;
+``_newton``, runs both, and one driver, ``_roots``, runs them from any set
+of starts.  Where the paper's backward-uniqueness inequality makes the map
+injective, the driver runs from one start, the linear preimage, and a
+bound on its root's Jacobian certifies the root as the only one;
 elsewhere, or when the certificate fails, it runs from a multi-start
 lattice to find every root.  When f does not read y the
 shooting map is the RK4 quadrature of the integral representation, and
@@ -293,17 +294,10 @@ def _phi_batch(spec, i, X, t_target, substeps, plan=None):
 
 
 def shooting_map(spec, i, x0, substeps=64):
-    """One-interval forward map x -> y(theta_{i+1}; theta_i, x).
-
-    The interval is integrated as ``solve_forward`` integrates it, with
-    the same overflow guard, 1e12.
-    """
-    lo, hi = spec.grid.window
-    a, b = spec.grid.knot(i), spec.grid.knot(i + 1)
-    if a < lo or b > hi:
-        raise OutOfWindowError(f"interval [{a}, {b}] not inside window")
-    x0 = state_vector(x0, spec.n, "x0")
-    return rk4_segment(_frozen_rhs(spec, x0), a, x0, b, max(2, substeps), guard=1e12)[1][-1]
+    """One-interval forward map x -> y(theta_{i+1}; theta_i, x): the last
+    value of ``solve_forward`` from (theta_i, x) to theta_{i+1}, with its
+    overflow guard, 1e12."""
+    return solve_forward(spec, spec.grid.knot(i), x0, spec.grid.knot(i + 1), substeps).ys[-1]
 
 
 def _fd_jacobian(phi, X):
@@ -494,26 +488,56 @@ def _uniqueness_gate(spec, i, t_target, substeps):
     return bw
 
 
+def _dedupe(X):
+    """Indices of the rows of X kept: smallest-norm first, greedy by the
+    clustering radius 1e-5*(1 + ||x||)."""
+    order = sorted(range(len(X)), key=lambda q: (np.linalg.norm(X[q]), tuple(X[q])))
+    kept = []
+    for q in order:
+        radius = 1e-5 * (1.0 + np.linalg.norm(X[q]))
+        if all(np.linalg.norm(X[q] - X[p]) > radius for p in kept):
+            kept.append(q)
+    return kept
+
+
+def _roots(search, starts):
+    """The distinct roots Newton finds from the rows of ``starts``, as the
+    polished ``_NewtonRows``, smallest norm first.
+
+    Damped Newton (at most 50 iterations of 8 halvings each) runs from
+    every start.  The rows that meet the root tolerance, distinct by
+    ``_dedupe``, are polished together by the same kernel as plain Newton
+    (tolerance 0, no halvings, at most 10 steps), starting from the
+    search's residuals and Jacobians there, and deduplicated again.
+    """
+    phi, x_target = search.phi, search.x_target
+    rows = _newton(phi, x_target, _NewtonRows.at(phi, x_target, starts), search.tol_abs,
+                   50, 8, 1e-4)
+    roots = np.flatnonzero(np.isfinite(rows.rn) & (rows.rn <= search.tol_abs))
+    # the search's values at its roots seed the polish, so only the
+    # Jacobians of roots last moved by a halving are evaluated again
+    rows = _newton(phi, x_target, rows.take(roots[_dedupe(rows.X[roots])]), 0.0, 10, 0, 0.0)
+    return rows.take(_dedupe(rows.X))
+
+
 def _single_start(search, bw):
     """The preimage certified by ``bw``, from one Newton start, or None.
 
     The start is the linear preimage X^{-1} x_target, X = X(t_target,
-    theta_i) the RK4 propagator of the shooting map's steps.  The search
-    and the polish are the lattice's.  The root is kept only when it meets
-    the root tolerance and its polished Jacobian J is fresh and passes
-    ||J - X||_2 <= lhs, the inequality's bound on the nonlinear part.  With
-    ||A|| <= mu, sigma_min(X) >= m, and so J is as far from singular as
-    the margin m - lhs.  Returns (preimage, residual, ||J - X||_2).
+    theta_i) the RK4 propagator of the shooting map's steps, and
+    ``_roots`` runs Newton from it as from the lattice.  The root is kept
+    only when its polished Jacobian J is fresh and passes ||J - X||_2 <=
+    lhs, the inequality's bound on the nonlinear part.  With ||A|| <= mu,
+    sigma_min(X) >= m, and so J is as far from singular as the margin
+    m - lhs.  Returns (preimage, residual, ||J - X||_2).
     """
     X = propagator(search.spec.coefficient, search.a, search.t_target, search.n_steps)
     x0 = np.linalg.solve(X, search.x_target)
     if not np.isfinite(x0).all():
         return None
-    phi, x_target, tol_abs = search.phi, search.x_target, search.tol_abs
-    rows = _newton(phi, x_target, _NewtonRows.at(phi, x_target, x0[None]), tol_abs, 50, 8, 1e-4)
-    if not rows.rn[0] <= tol_abs:
+    rows = _roots(search, x0[None])
+    if len(rows.X) == 0:
         return None
-    rows = _newton(phi, x_target, rows, 0.0, 10, 0, 0.0)
     gap = float(np.linalg.norm(rows.J[0] - X, 2))
     if not (rows.fresh[0] and gap <= bw.lhs):
         return None
@@ -521,43 +545,18 @@ def _single_start(search, bw):
 
 
 def _lattice(search):
-    """Every preimage the 17^n start lattice finds, with its residual.
+    """Every preimage ``_roots`` finds from the 17^n start lattice, with
+    its residual.
 
-    Damped Newton (at most 50 iterations of 8 halvings each) runs from a
-    lattice of 17 points per coordinate spanning [-R, R],
-    R = min(max(10, 10*||x_target||), 1e307), so the lattice stays finite
-    for any finite target.  The distinct roots, separated by the clustering
-    radius 1e-5*(1 + ||x||), are polished together by the same kernel as
-    plain Newton (tolerance 0, no halvings, at most 10 steps), starting
-    from the search's residuals and Jacobians there.
+    The lattice has 17 points per coordinate spanning [-R, R],
+    R = min(max(10, 10*||x_target||), 1e307), so it stays finite for any
+    finite target.
     """
-    phi, x_target, tol_abs = search.phi, search.x_target, search.tol_abs
     R = min(max(10.0, 10.0 * search.size), 1e307)  # 2R stays finite for linspace
     axes = [np.linspace(-R, R, 17)] * search.spec.n
     mesh = np.meshgrid(*axes, indexing="ij")
-    starts = np.stack([m.ravel() for m in mesh], axis=1)
-
-    rows = _newton(phi, x_target, _NewtonRows.at(phi, x_target, starts), tol_abs, 50, 8, 1e-4)
-    roots = np.flatnonzero(np.isfinite(rows.rn) & (rows.rn <= tol_abs))
-
-    def dedupe(X):
-        # indices of the rows kept: smallest-norm first, greedy by the
-        # clustering radius
-        order = sorted(range(len(X)), key=lambda q: (np.linalg.norm(X[q]), tuple(X[q])))
-        kept = []
-        for q in order:
-            radius = 1e-5 * (1.0 + np.linalg.norm(X[q]))
-            if all(np.linalg.norm(X[q] - X[p]) > radius for p in kept):
-                kept.append(q)
-        return kept
-
-    kept = roots[dedupe(rows.X[roots])]
-    if len(kept):
-        # the search's values at its roots seed the polish, so only the
-        # Jacobians of roots last moved by a halving are evaluated again
-        rows = _newton(phi, x_target, rows.take(kept), 0.0, 10, 0, 0.0)
-        kept = dedupe(rows.X)
-    return [rows.X[q] for q in kept], [float(rows.rn[q]) for q in kept]
+    rows = _roots(search, np.stack([m.ravel() for m in mesh], axis=1))
+    return list(rows.X), [float(r) for r in rows.rn]
 
 
 def lattice_preimages(spec, i, t_target, x_target, substeps=64, root_tol=1e-9):
@@ -584,13 +583,13 @@ def back_continue_interval(spec, i, t_target, x_target, substeps=64,
     Where the backward-uniqueness inequality holds for a declared lip > 0
     and the declared mu bounds ||A|| over the span, phi is injective and
     the preimage, if any, is unique (see ``_uniqueness_gate``).  The
-    search then runs damped Newton from one start, the linear preimage,
-    and polishes its root; the root is accepted as "unique" when its
-    polished Jacobian J passes ||J - X||_2 <= lhs against the linear
-    propagator X (see ``_single_start``).  Otherwise, and wherever the
-    inequality does not certify the interval, Newton runs from the 17^n
-    start lattice (see ``lattice_preimages``), unchanged.  An empty result
-    is reported as
+    search then runs the lattice's Newton driver (``_roots``: damped
+    Newton, then the polish) from one start, the linear preimage; the root
+    is accepted as "unique" when its polished Jacobian J passes
+    ||J - X||_2 <= lhs against the linear propagator X (see
+    ``_single_start``).  Otherwise, and wherever the inequality does not
+    certify the interval, the driver runs from the 17^n start lattice (see
+    ``lattice_preimages``), unchanged.  An empty result is reported as
     classification "none" with the search budget flagged as exhausted
     (absence of roots is not proved).
 

@@ -152,12 +152,33 @@ def test_explicit_grid_leaves_caller_array_writable():
 
 def test_direct_grid_leaves_caller_array_writable():
     knots = np.array([0.0, 0.5, 1.0, 1.5])
-    g = ThetaGrid(kind="explicit", window=(0.0, 1.5), gap_bound=0.5, periodic=None,
+    g = ThetaGrid(window=(0.0, 1.5), gap_bound=0.5, periodic=None,
                   knots=knots)
     assert knots.flags.writeable
     knots[0] = -1.0
     assert g.knots[0] == 0.0
     assert not g.knots.flags.writeable
+
+
+@pytest.mark.parametrize("make, gap", [
+    (lambda lo: make_uniform_grid(0.1, 0.0, (lo, lo + 3.0)), 0.1),
+    (lambda lo: make_periodic_grid((0.0, 0.3), 1.0, (lo, lo + 3.0)), 1.0 - 0.3),
+    (lambda lo: make_periodic_grid((0.1, 0.25, 0.7), 1.3, (lo, lo + 3.0)), 1.3 - (0.7 - 0.1)),
+], ids=["uniform", "periodic-2", "periodic-3"])
+@pytest.mark.parametrize("lo", [1e4, -1e5, 1e7])
+def test_grid_far_from_zero_keeps_its_gap_bound(make, gap, lo):
+    # knots there are rounded to ulps of their size, more than 1e-12 of a gap
+    g = make(lo)
+    assert g.gap_bound == gap
+    assert lo < g.beta(lo + 1.0) <= lo + 1.0
+
+
+def test_uniform_grid_gap_bound_is_exactly_the_step():
+    for step in (0.1, 1 / 3, 0.7, 1.0, 2.5e-3):
+        for offset in (0.0, 0.25, -1.3):
+            g = make_uniform_grid(step, offset, (0.0, 10.0))
+            assert g.gap_bound == step and g.periodic == (1, step)
+            assert g.pattern == (offset,)
 
 
 def test_strictly_increasing_required():

@@ -232,10 +232,13 @@ _FORWARD_SPECS["diag-dichotomy-state"] = lambda: get_problem(
 _FORWARD_SPECS["config-y-reading"] = lambda: parse_system(
     _Y_FREE_CONFIG.replace("0.02*w1^2", "0.02*y1^2"))
 _FORWARD_SPECS["time-varying-n2"] = lambda: _time_varying_spec(2)
+# 3*h/h rounds above 3 for some gaps h of this grid, so solve_forward takes
+# a fourth step there
+_FORWARD_SPECS["forced-scalar-step-0.1"] = lambda: get_problem("forced-scalar", step=0.1)
 
 
 @pytest.mark.parametrize("key", list(_FORWARD_SPECS))
-@pytest.mark.parametrize("substeps", [16, 64])
+@pytest.mark.parametrize("substeps", [3, 16, 64])
 def test_shooting_map_is_the_end_of_the_forward_segment(key, substeps):
     spec = _FORWARD_SPECS[key]()
     rng = np.random.default_rng(substeps)

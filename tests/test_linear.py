@@ -133,6 +133,23 @@ def test_flow_bounds_scalar_two():
     assert rep.passed
 
 
+def test_flow_bounds_of_a_huge_mu_saturate():
+    # mu*theta = 1000: exp overflows
+    spec = replace(get_problem("paper-example-1"), mu=1000.0)
+    fb = flow_bounds(spec)
+    assert fb.M == math.inf and fb.m == 0.0
+    rep = verify_flow_bounds(spec, n_pairs=20, seed=0)
+    assert rep.passed and math.isfinite(rep.max_violation)
+
+
+def test_flow_bounds_of_a_propagator_that_overflows_fail():
+    # ||X(1, 0)|| = exp(800) is not a float: the check cannot pass
+    spec = _const_spec(np.diag([800.0, -800.0]), mu=800.0)
+    rep = verify_flow_bounds(spec, pairs=[(0.0, 0.0), (1.0, 0.0)])
+    assert not rep.passed
+    assert rep.max_violation == math.inf and rep.worst_pair == (1.0, 0.0)
+
+
 def test_flow_bounds_M_m_product():
     spec = get_problem("paper-example-1")
     fb = flow_bounds(spec)
@@ -245,9 +262,24 @@ def test_smallness_whose_lhs_overflows_fails(args, overflowing):
     assert not rep.all_hold
     for c in rep.checks:
         if c.name in overflowing:
-            # inf, or nan where an infinite factor meets a zero one
-            assert not math.isfinite(c.lhs) and not c.holds
+            assert c.lhs == math.inf and not c.holds
     json.dumps(rep.as_dict(), allow_nan=False)
+
+
+def test_smallness_with_zero_lipschitz_holds_at_huge_sigma():
+    # exp(sigma*theta) overflows, so 0 * inf and an rhs that underflows to 0
+    rep = check_smallness(K=1.0, sigma=1e200, alpha=0.5, theta=1.0, L=0.0, eps=1.0)
+    assert rep.all_hold
+    assert all(c.lhs == 0.0 for c in rep.checks)
+    json.dumps(rep.as_dict(), allow_nan=False)
+
+
+def test_smallness_at_huge_sigma_without_overflowing_exponential():
+    # sigma^2 overflows but exp(sigma*theta) does not: the decay lhs is about
+    # 4*K^2*L/sigma = 4e100, not 0
+    rep = check_smallness(K=1e150, sigma=1e200, alpha=0.5, theta=1e-300, L=1.0, eps=1.0)
+    assert rep["iterate_decay"].lhs == pytest.approx(4e100, rel=1e-12)
+    assert not rep["iterate_decay"].holds
 
 
 def test_smallness_zero_lipschitz_full_margin():

@@ -9,12 +9,15 @@ operations, so each workload also runs for a moment: a library argument
 that a workload passes and the library no longer takes fails here.
 """
 
+import inspect
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from epcag_lab import _quadrature, integrate
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,3 +38,15 @@ def test_perfbench_workload_runs_correctly(workload):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0, proc.stderr
+
+
+@pytest.mark.parametrize("function, name, position", [
+    (integrate.rk4_final, "y0", 2),
+    (_quadrature.accumulate_forward, "mesh", 3),
+    (_quadrature.accumulate_backward, "mesh", 3),
+], ids=["rk4_final", "accumulate_forward", "accumulate_backward"])
+def test_traced_arguments_keep_their_positions(function, name, position):
+    # perfbench/tracer.py reads these arguments by position when they are
+    # passed positionally; a moved one would count the wrong argument's
+    # rows or points without any error
+    assert list(inspect.signature(function).parameters).index(name) == position
